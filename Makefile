@@ -1,16 +1,17 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race serve-race train-race model-race router-race match-race label-race audit-race fuzz-smoke bench bench-json bench-guard cover
+.PHONY: check build vet fmt-check test race serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke bench bench-json bench-guard cover
 
 ## check: the pre-merge gate — formatting, vet (must be clean for every
 ## package, internal/serve included), build, the serving-layer race gate,
 ## the fault-tolerant-training race gate, the model-format race gate, the
-## fleet-routing chaos gate, the crash-safe-matching race gate, the
+## scorer exactness tests rebuilt for GOAMD64=v3, the fleet-routing chaos
+## gate, the crash-safe-matching race gate, the
 ## online-learning crash gate, the audit-trail crash gate, a fuzz smoke
 ## pass over CSV ingest, arena parsing, blocking, the feedback journal,
 ## and the audit log, full race-enabled tests, short benchmarks, and the
 ## coverage ratchet.
-check: fmt-check vet build serve-race train-race model-race router-race match-race label-race audit-race fuzz-smoke race bench cover
+check: fmt-check vet build serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke race bench cover
 
 build:
 	$(GO) build ./...
@@ -47,12 +48,22 @@ train-race:
 
 ## model-race: the zero-copy model-format suite under the race detector —
 ## concurrent arena mmap hot reload vs batch prediction (use-after-munmap
-## would segfault here), FastNN scorer determinism under concurrency, and
-## the arena/gob prediction-equivalence goldens.
+## would segfault here), NN and FastNN scorer determinism under
+## concurrency, the arena/gob prediction-equivalence goldens, the corrupt
+## model inputs, and the scorer kernels' exactness tests (NN.Score equal
+## to the per-unit forward pass bit for bit, assembly vs generic tiles).
 model-race:
 	$(GO) test -race -timeout 15m \
-		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorruptArenas' \
-		./cmd/wym-server ./internal/relevance ./internal/core
+		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestNNConcurrentScore|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorrupt|TestNNScoreMatchesForward|TestNNGobDecodeRejectsMalformed|TestDenseTile' \
+		./cmd/wym-server ./internal/relevance ./internal/core ./internal/vec
+
+## exact-v3: the float64 exactness tests rebuilt for GOAMD64=v3, whose
+## CPUs have FMA. Were a toolchain ever to fuse multiply-add on amd64, the
+## compiled reference forward pass and the kernel would diverge here.
+exact-v3:
+	GOAMD64=v3 $(GO) test -count=1 -timeout 10m \
+		-run 'TestNNScoreMatchesForward|TestDenseTileASMAgainstGeneric' \
+		./internal/relevance ./internal/vec
 
 ## router-race: the fleet-routing chaos suites under the race detector —
 ## the ring/breaker/backoff/pool unit tests, the stub-fleet chaos harness
@@ -109,7 +120,8 @@ fuzz-smoke:
 ## baseline — use bench-json for comparable numbers).
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=10x \
-		./internal/units ./internal/embed ./internal/assignment ./internal/nn
+		./internal/units ./internal/embed ./internal/assignment ./internal/nn \
+		./internal/relevance ./internal/vec
 
 ## bench-json: regenerate the perf snapshot (see BENCH_baseline.json).
 bench-json:

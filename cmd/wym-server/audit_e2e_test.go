@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"wym/internal/audit"
+	"wym/internal/testproc"
 )
 
 // auditOptions returns serving options with auditing into dir at the
@@ -245,13 +246,10 @@ func TestAuditKillRecovery(t *testing.T) {
 		proc := exec.Command(bin, "-model", model, "-addr", addr, "-admin-addr", adminAddr,
 			"-audit-dir", auditDir, "-audit-sample", fmt.Sprint(rate), "-audit-flush", "50ms")
 		proc.Stderr = os.Stderr
-		if err := proc.Start(); err != nil {
-			t.Fatal(err)
-		}
+		testproc.Start(t, proc)
 		return proc
 	}
 	proc := start()
-	defer proc.Process.Kill()
 	base, adminBase := "http://"+addr, "http://"+adminAddr
 	waitHealthy(t, base, proc)
 
@@ -332,7 +330,6 @@ func TestAuditKillRecovery(t *testing.T) {
 	// Restart on the same directory: Open repairs any torn tail and the
 	// log accepts new records.
 	proc = start()
-	defer proc.Process.Kill()
 	waitHealthy(t, base, proc)
 	send("post-restart")
 	time.Sleep(300 * time.Millisecond)

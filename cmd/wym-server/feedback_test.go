@@ -20,6 +20,7 @@ import (
 
 	"wym"
 	"wym/internal/datagen"
+	"wym/internal/testproc"
 )
 
 // driftedLabels builds adjudicated labels over test-split pairs with the
@@ -275,13 +276,10 @@ func TestFeedbackKillReplay(t *testing.T) {
 	start := func() *exec.Cmd {
 		cmd := exec.Command(bin, serverArgs...)
 		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
+		testproc.Start(t, cmd)
 		return cmd
 	}
 	proc := start()
-	defer proc.Process.Kill()
 	waitHealthy(t, base, proc)
 
 	// Background predict load for the duration of the feedback batches,
@@ -340,7 +338,6 @@ func TestFeedbackKillReplay(t *testing.T) {
 	// Restart on the same journal directory: startup replay must
 	// reproduce the acked feedback state exactly.
 	proc2 := start()
-	defer proc2.Process.Kill()
 	waitHealthy(t, base, proc2)
 
 	resp, err := http.Get(base + "/admin/feedback")

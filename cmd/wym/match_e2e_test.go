@@ -12,6 +12,7 @@ import (
 
 	"wym/internal/data"
 	"wym/internal/datagen"
+	"wym/internal/testproc"
 )
 
 // buildWymBinary compiles the CLI once for the subprocess tests.
@@ -79,7 +80,7 @@ func TestMatchKillResume(t *testing.T) {
 
 	// Reference: one uninterrupted run.
 	refOut := filepath.Join(workDir, "ref.csv")
-	if out, err := exec.Command(bin, jobArgs(refOut, refOut+".job")...).CombinedOutput(); err != nil {
+	if out, err := testproc.CombinedOutput(exec.Command(bin, jobArgs(refOut, refOut+".job")...)); err != nil {
 		t.Fatalf("reference run: %v\n%s", err, out)
 	}
 	want, err := os.ReadFile(refOut)
@@ -92,9 +93,7 @@ func TestMatchKillResume(t *testing.T) {
 	out := filepath.Join(workDir, "matches.csv")
 	job := filepath.Join(workDir, "matches.csv.job")
 	cmd := exec.Command(bin, jobArgs(out, job, "-throttle", "400ms")...)
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	testproc.Start(t, cmd)
 	manifest := filepath.Join(job, "job.json")
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
@@ -102,8 +101,6 @@ func TestMatchKillResume(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
 			t.Fatal("job never recorded 2 chunks")
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -125,7 +122,7 @@ func TestMatchKillResume(t *testing.T) {
 
 	// Resume (throttle dropped: pacing must not invalidate the manifest)
 	// and require byte-identical output.
-	res, err := exec.Command(bin, jobArgs(out, job, "-resume")...).CombinedOutput()
+	res, err := testproc.CombinedOutput(exec.Command(bin, jobArgs(out, job, "-resume")...))
 	if err != nil {
 		t.Fatalf("resume run: %v\n%s", err, res)
 	}
@@ -154,15 +151,11 @@ func TestMatchSigtermDrains(t *testing.T) {
 	var buf bytes.Buffer
 	cmd.Stdout = &buf
 	cmd.Stderr = &buf
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
+	testproc.Start(t, cmd)
 	manifest := filepath.Join(job, "job.json")
 	deadline := time.Now().Add(2 * time.Minute)
 	for manifestChunkCount(manifest) < 1 {
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			cmd.Wait()
 			t.Fatal("job never recorded a chunk")
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -177,10 +170,10 @@ func TestMatchSigtermDrains(t *testing.T) {
 		t.Fatalf("missing resumable notice:\n%s", buf.String())
 	}
 	// The drained run is resumable to completion.
-	if res, err := exec.Command(bin, "dedup",
+	if res, err := testproc.CombinedOutput(exec.Command(bin, "dedup",
 		"-in", fx.leftPath, "-model", fx.modelPath,
 		"-out", out, "-job", job,
-		"-chunk", "10", "-max-df", "0.3", "-resume").CombinedOutput(); err != nil {
+		"-chunk", "10", "-max-df", "0.3", "-resume")); err != nil {
 		t.Fatalf("resume after SIGTERM: %v\n%s", err, res)
 	}
 	if _, err := os.Stat(out); err != nil {

@@ -182,6 +182,9 @@ func systemFromArena(f *arena.File) (*System, error) {
 	default:
 		return nil, fmt.Errorf("core: arena has unknown scorer kind %q", meta.ScorerKind)
 	}
+	if err := checkScorerDim(scorer, src); err != nil {
+		return nil, err
+	}
 	format := FormatArenaF32
 	if f.Int8() {
 		format = FormatArenaInt8

@@ -12,6 +12,7 @@ import (
 
 	"wym/internal/arena"
 	"wym/internal/embed"
+	"wym/internal/relevance"
 )
 
 // arenaTolerances mirrors testdata/arena_tolerances.json: the committed
@@ -240,6 +241,44 @@ func TestLoadFileCorruptArenas(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// scorerArena writes the trained system as an arena whose scorer
+	// section went through mutate: shapes the arena parser accepts but
+	// the scorer must refuse.
+	scorerArena := func(name string, mutate func(sp *arena.Scorer)) string {
+		t.Helper()
+		build, err := embed.CompileArena(sys.source, embed.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, err := relevance.NewFastNN(sys.scorer.(*relevance.NN))
+		if err != nil {
+			t.Fatal(err)
+		}
+		build.Scorer = fast.Spec()
+		mutate(build.Scorer)
+		var meta bytes.Buffer
+		if err := gob.NewEncoder(&meta).Encode(&arenaMeta{
+			Cfg: shadowOf(sys.cfg), Schema: sys.schema, Space: sys.space, Model: sys.model, ScorerKind: scorerTagNN,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		build.Meta = meta.Bytes()
+		return write(name, build)
+	}
+	// The format pads every row to a multiple of 8 floats; a row stride
+	// off that padding is the arena's ragged row.
+	raggedPath := scorerArena("ragged.wyma", func(sp *arena.Scorer) {
+		l := &sp.Layers[0]
+		pad := l.InPadded + 1
+		w := make([]float32, l.Out*pad)
+		for i := 0; i < l.Out; i++ {
+			copy(w[i*pad:], l.W[i*l.InPadded:i*l.InPadded+l.In])
+		}
+		l.W, l.InPadded = w, pad
+	})
+	chainPath := scorerArena("chain.wyma", func(sp *arena.Scorer) { sp.Layers[1].In-- })
+	dimPath := scorerArena("dim.wyma", func(sp *arena.Scorer) { sp.Layers[0].In -= 2 })
+
 	for _, tc := range []struct {
 		name, path, wantSub string
 	}{
@@ -247,6 +286,9 @@ func TestLoadFileCorruptArenas(t *testing.T) {
 		{"metadata missing components", emptyMetaPath, "missing fitted components"},
 		{"truncated arena", truncPath, ""},
 		{"payload bit flip", flippedPath, "checksum"},
+		{"ragged scorer row", raggedPath, "not a multiple of 8"},
+		{"broken scorer chain", chainPath, "does not chain"},
+		{"scorer-embedding dim mismatch", dimPath, "does not match"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, err := LoadFile(tc.path)

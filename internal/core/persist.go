@@ -160,6 +160,9 @@ func Load(r io.Reader) (*System, error) {
 	if snap.Model == nil || snap.Scorer == nil || snap.Source == nil || snap.Space == nil {
 		return nil, fmt.Errorf("core: snapshot is missing fitted components")
 	}
+	if err := checkScorerDim(snap.Scorer, snap.Source); err != nil {
+		return nil, err
+	}
 	s := &System{
 		cfg:         snap.Cfg.config(),
 		schema:      snap.Schema,
@@ -176,6 +179,18 @@ func Load(r io.Reader) (*System, error) {
 	}
 	s.rebuildEngine()
 	return s, nil
+}
+
+// checkScorerDim fails unless a network scorer reads 2 × the embedding
+// dimension the source produces: its kernel indexes features by that
+// width, so a mismatched pair would read past the vectors or silently
+// truncate them. Binary and Cosine take any width.
+func checkScorerDim(sc relevance.Scorer, src embed.Source) error {
+	if d, ok := sc.(interface{ Dim() int }); ok && d.Dim() != src.Dim() {
+		return fmt.Errorf("core: scorer input width %d does not match the %d-dim embeddings (want %d)",
+			2*d.Dim(), src.Dim(), 2*src.Dim())
+	}
+	return nil
 }
 
 // SaveFile saves the system to a file.

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"wym/internal/arena"
+	"wym/internal/nn"
+	"wym/internal/relevance"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -107,6 +109,37 @@ func TestLoadFileCorruptInputs(t *testing.T) {
 	}
 	f.Close()
 
+	// scorerArtifact saves the trained system with its scorer swapped for
+	// a network of the given sizes over dim-dimensional embeddings.
+	// corrupt runs after NewNN has accepted the network, so the artifact
+	// carries a shape NewNN refuses: what a damaged file looks like.
+	scorerArtifact := func(t *testing.T, name string, dim int, sizes []int, corrupt func(*nn.Net)) string {
+		sys, _ := trainOn(t, "S-FZ", 1.0, fastConfig())
+		acts := make([]nn.Activation, len(sizes)-1)
+		for i := range acts {
+			acts[i] = nn.ReLU
+		}
+		net := nn.New(sizes, acts, 1)
+		sc, err := relevance.NewNN(net, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if corrupt != nil {
+			corrupt(net)
+		}
+		bad := *sys
+		bad.scorer = sc
+		p := filepath.Join(dir, name)
+		if err := bad.SaveFile(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	embDim := func(t *testing.T) int {
+		sys, _ := trainOn(t, "S-FZ", 1.0, fastConfig())
+		return sys.source.Dim()
+	}
+
 	cases := []struct {
 		name  string
 		want  string // required error substring beyond the path ("" = any)
@@ -145,6 +178,22 @@ func TestLoadFileCorruptInputs(t *testing.T) {
 			return p
 		}},
 		{"wrong-type gob", "", func(t *testing.T) string { return wrongType }},
+		{"ragged scorer row", "row 1 has", func(t *testing.T) string {
+			d := embDim(t)
+			return scorerArtifact(t, "ragged.gob", d, []int{2 * d, 4, 1}, func(n *nn.Net) {
+				n.Layers[0].W[1] = n.Layers[0].W[1][:2*d-1]
+			})
+		}},
+		{"broken scorer chain", "does not chain", func(t *testing.T) string {
+			d := embDim(t)
+			return scorerArtifact(t, "chain.gob", d, []int{2 * d, 4, 1}, func(n *nn.Net) {
+				n.Layers[1] = nn.New([]int{5, 1}, []nn.Activation{nn.Tanh}, 1).Layers[0]
+			})
+		}},
+		{"scorer-embedding dim mismatch", "does not match", func(t *testing.T) string {
+			d := embDim(t) + 1
+			return scorerArtifact(t, "dim.gob", d, []int{2 * d, 4, 1}, nil)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -27,16 +27,35 @@ const (
 func (a Activation) apply(x float64) float64 {
 	switch a {
 	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
+		return relu(x)
 	case Tanh:
 		return math.Tanh(x)
 	case Sigmoid:
 		return 1 / (1 + math.Exp(-x))
 	default:
 		return x
+	}
+}
+
+// relu keeps -0 and NaN, as x < 0 ? 0 : x does.
+func relu(x float64) float64 {
+	if x < 0 {
+		return 0
+	}
+	return x
+}
+
+// ApplyAll replaces every element of xs by its activation, with the
+// arithmetic of the forward pass.
+func (a Activation) ApplyAll(xs []float64) {
+	if a == ReLU { // the hidden layers' activation: relu inlines here
+		for i, x := range xs {
+			xs[i] = relu(x)
+		}
+		return
+	}
+	for i, x := range xs {
+		xs[i] = a.apply(x)
 	}
 }
 

@@ -3,19 +3,17 @@ package relevance
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"wym/internal/arena"
 	"wym/internal/nn"
 	"wym/internal/vec"
 )
 
-// FastNN is the arena-path relevance scorer: the same network as NN, but
-// with weights flattened into row-major float32 with each row zero-padded
-// to a multiple of 8, scored four decision units at a time through the
-// vec.Dot4F32 kernel. It exists for the serving hot path — Score runs an
-// order of magnitude faster than the per-unit float64 forward pass — and
-// its float32 arithmetic is pinned against the float64 scorer by the
+// FastNN is the arena-path relevance scorer: the same network as NN in
+// float32, with weights in the arena's row-major layout, each row
+// zero-padded to a multiple of 8. Score runs the float32 lane kernel over
+// eight decision units at a time, reading the padded rows in place. Its
+// float32 arithmetic is pinned against the float64 scorer by the
 // prediction-equivalence goldens in internal/core.
 //
 // A FastNN is built either from a trained float64 network (NewFastNN, at
@@ -23,23 +21,8 @@ import (
 // opened arena (FastNNFromSpec, at load time — zero copies). It is safe
 // for concurrent use; per-call scratch is pooled.
 type FastNN struct {
-	layers []fastLayer
-	dim    int // embedding dimension; network input is 2*dim
-	maxPad int // widest padded row across all layer inputs and outputs
-	pool   sync.Pool
-}
-
-type fastLayer struct {
-	in, out   int
-	inPadded  int // multiple of 8, rows of w are this wide
-	outPadded int // multiple of 8, activation rows are this wide
-	act       uint32
-	w         []float32 // [out][inPadded] row-major
-	b         []float32 // [out]
-}
-
-type fastScratch struct {
-	x, y []float32
+	spec  []arena.ScorerLayer // the weights as the arena stores them
+	lanes *laneNet[float32]
 }
 
 func roundUp8(n int) int { return (n + 7) &^ 7 }
@@ -48,39 +31,31 @@ func roundUp8(n int) int { return (n + 7) &^ 7 }
 // layout. The conversion narrows every weight once; no further precision
 // is lost at score time beyond the float32 arithmetic itself.
 func NewFastNN(s *NN) (*FastNN, error) {
-	if s == nil || s.net == nil || len(s.net.Layers) == 0 {
+	if s == nil || s.lanes == nil {
 		return nil, fmt.Errorf("relevance: no trained network to convert")
 	}
-	f := &FastNN{dim: s.dim}
+	spec := make([]arena.ScorerLayer, len(s.net.Layers))
 	for li, l := range s.net.Layers {
-		out, in := len(l.W), 0
-		if out > 0 {
-			in = len(l.W[0])
-		}
-		if out == 0 || in == 0 {
-			return nil, fmt.Errorf("relevance: layer %d has empty weights", li)
-		}
 		act, err := actID(l.Act)
 		if err != nil {
 			return nil, fmt.Errorf("relevance: layer %d: %w", li, err)
 		}
-		fl := fastLayer{
-			in: in, out: out,
-			inPadded: roundUp8(in), outPadded: roundUp8(out),
-			act: act,
-			b:   make([]float32, out),
+		in, out := s.lanes.layers[li].in, len(l.W)
+		sl := arena.ScorerLayer{
+			In: in, Out: out, InPadded: roundUp8(in), Act: act,
+			W: make([]float32, out*roundUp8(in)),
+			B: make([]float32, out),
 		}
-		fl.w = make([]float32, out*fl.inPadded)
 		for i, row := range l.W {
-			dst := fl.w[i*fl.inPadded:]
+			dst := sl.W[i*sl.InPadded:]
 			for j, wv := range row {
 				dst[j] = float32(wv)
 			}
-			fl.b[i] = float32(l.B[i])
+			sl.B[i] = float32(l.B[i])
 		}
-		f.layers = append(f.layers, fl)
+		spec[li] = sl
 	}
-	return f, f.finish()
+	return newFastNN(spec, s.Dim())
 }
 
 // FastNNFromSpec wraps an arena scorer section without copying: the
@@ -90,182 +65,66 @@ func FastNNFromSpec(sp *arena.Scorer) (*FastNN, error) {
 	if sp == nil || len(sp.Layers) == 0 {
 		return nil, fmt.Errorf("relevance: arena has no scorer")
 	}
-	f := &FastNN{}
 	for li, l := range sp.Layers {
 		if l.InPadded%8 != 0 {
 			return nil, fmt.Errorf("relevance: arena scorer layer %d: padded width %d not a multiple of 8", li, l.InPadded)
 		}
-		f.layers = append(f.layers, fastLayer{
-			in: l.In, out: l.Out,
-			inPadded: l.InPadded, outPadded: roundUp8(l.Out),
-			act: l.Act, w: l.W, b: l.B,
-		})
 	}
-	if in0 := f.layers[0].in; in0%2 != 0 {
+	if in0 := sp.Layers[0].In; in0%2 != 0 {
 		return nil, fmt.Errorf("relevance: arena scorer input width %d is odd", in0)
 	}
-	f.dim = f.layers[0].in / 2
-	return f, f.finish()
+	return newFastNN(sp.Layers, sp.Layers[0].In/2)
 }
 
-// finish validates the layer chain and sizes the scratch pool.
-func (f *FastNN) finish() error {
-	for li := 1; li < len(f.layers); li++ {
-		if f.layers[li].in != f.layers[li-1].out {
-			return fmt.Errorf("relevance: scorer layer %d input %d does not chain from output %d",
-				li, f.layers[li].in, f.layers[li-1].out)
-		}
+func newFastNN(spec []arena.ScorerLayer, dim int) (*FastNN, error) {
+	layers := make([]laneLayer[float32], len(spec))
+	for li, l := range spec {
+		layers[li] = laneLayer[float32]{in: l.In, out: l.Out, stride: l.InPadded, w: l.W, b: l.B, act: actF32(l.Act)}
 	}
-	if last := f.layers[len(f.layers)-1]; last.out != 1 {
-		return fmt.Errorf("relevance: scorer output width %d, want 1", last.out)
+	lanes, err := newLaneNet(dim, vec.Lanes32, vec.DenseTile32, layers)
+	if err != nil {
+		return nil, err
 	}
-	for _, l := range f.layers {
-		if l.inPadded > f.maxPad {
-			f.maxPad = l.inPadded
-		}
-		if l.outPadded > f.maxPad {
-			f.maxPad = l.outPadded
-		}
-	}
-	f.pool.New = func() any { return &fastScratch{} }
-	return nil
+	return &FastNN{spec: spec, lanes: lanes}, nil
 }
 
 // Dim returns the embedding dimension the scorer expects.
-func (f *FastNN) Dim() int { return f.dim }
+func (f *FastNN) Dim() int { return f.lanes.dim }
 
 // Spec returns the network in arena layout, sharing the weight slices.
 func (f *FastNN) Spec() *arena.Scorer {
-	sp := &arena.Scorer{}
-	for _, l := range f.layers {
-		sp.Layers = append(sp.Layers, arena.ScorerLayer{
-			In: l.in, Out: l.out, InPadded: l.inPadded, Act: l.act,
-			W: l.w, B: l.b,
-		})
-	}
-	return sp
+	return &arena.Scorer{Layers: append([]arena.ScorerLayer(nil), f.spec...)}
 }
 
-// Score implements Scorer. It batches the record's units in groups of
-// four through every layer; outputs are clamped to [-1, 1] like NN.Score.
-func (f *FastNN) Score(rec *Record) []float64 {
-	u := len(rec.Units)
-	out := make([]float64, u)
-	if u == 0 {
-		return out
-	}
-	ub := (u + 3) &^ 3 // unit rows padded to a multiple of 4
-	sc := f.pool.Get().(*fastScratch)
-	need := ub * f.maxPad
-	if cap(sc.x) < need {
-		sc.x = make([]float32, need)
-		sc.y = make([]float32, need)
-	}
-	x, y := sc.x[:need], sc.y[:need]
+// Score implements Scorer; outputs are clamped to [-1, 1] like NN.Score.
+func (f *FastNN) Score(rec *Record) []float64 { return f.lanes.score(rec) }
 
-	f.featurize(rec, x, ub)
-	for _, l := range f.layers {
-		l.forward(x, y, ub)
-		x, y = y, x
-	}
-	// After the swap, x holds the final layer's activations.
-	lastPad := f.layers[len(f.layers)-1].outPadded
-	for i := 0; i < u; i++ {
-		v := float64(x[i*lastPad])
-		if v > 1 {
-			v = 1
-		}
-		if v < -1 {
-			v = -1
-		}
-		out[i] = v
-	}
-	f.pool.Put(sc)
-	return out
-}
-
-// featurize writes each unit's mean ⊕ |difference| features — the same
-// arithmetic as Record.Features, narrowed to float32 — into consecutive
-// padded rows of x, zeroing the padding and the pad units' rows.
-func (f *FastNN) featurize(rec *Record, x []float32, ub int) {
-	d := f.dim
-	p := f.layers[0].inPadded
-	for i := range rec.Units {
-		row := x[i*p : (i+1)*p]
-		un := rec.Units[i]
-		var l, r []float64
-		if un.Left >= 0 {
-			l = rec.LeftVecs[un.Left]
-		}
-		if un.Right >= 0 {
-			r = rec.RightVecs[un.Right]
-		}
-		switch {
-		case l != nil && r != nil:
-			for j := 0; j < d; j++ {
-				row[j] = float32((l[j] + r[j]) / 2)
-				row[d+j] = float32(math.Abs(l[j] - r[j]))
-			}
-		case l != nil:
-			for j := 0; j < d; j++ {
-				row[j] = float32(l[j] / 2)
-				row[d+j] = float32(math.Abs(l[j]))
-			}
-		case r != nil:
-			for j := 0; j < d; j++ {
-				row[j] = float32(r[j] / 2)
-				row[d+j] = float32(math.Abs(r[j]))
-			}
-		default:
-			clear(row[:2*d])
-		}
-		clear(row[2*d:])
-	}
-	clear(x[len(rec.Units)*p : ub*p])
-}
-
-// forward computes one dense layer over ub unit rows (ub a multiple of
-// 4): y[u][i] = act(w[i]·x[u] + b[i]), pad columns zeroed.
-func (l *fastLayer) forward(x, y []float32, ub int) {
-	p, q := l.inPadded, l.outPadded
-	for u := 0; u < ub; u += 4 {
-		x0 := x[u*p : (u+1)*p]
-		x1 := x[(u+1)*p : (u+2)*p]
-		x2 := x[(u+2)*p : (u+3)*p]
-		x3 := x[(u+3)*p : (u+4)*p]
-		y0 := y[u*q : (u+1)*q]
-		y1 := y[(u+1)*q : (u+2)*q]
-		y2 := y[(u+2)*q : (u+3)*q]
-		y3 := y[(u+3)*q : (u+4)*q]
-		for i := 0; i < l.out; i++ {
-			w := l.w[i*p : (i+1)*p]
-			s0, s1, s2, s3 := vec.Dot4F32(w, x0, x1, x2, x3)
-			bi := l.b[i]
-			y0[i] = applyAct(l.act, s0+bi)
-			y1[i] = applyAct(l.act, s1+bi)
-			y2[i] = applyAct(l.act, s2+bi)
-			y3[i] = applyAct(l.act, s3+bi)
-		}
-		clear(y0[l.out:])
-		clear(y1[l.out:])
-		clear(y2[l.out:])
-		clear(y3[l.out:])
-	}
-}
-
-func applyAct(act uint32, v float32) float32 {
+// actF32 returns the in-place float32 activation for an arena act code;
+// tanh and sigmoid are evaluated in float64 and narrowed.
+func actF32(act uint32) func([]float32) {
 	switch act {
 	case arena.ActReLU:
-		if v < 0 {
-			return 0
+		return func(y []float32) {
+			for i, v := range y {
+				if v < 0 {
+					y[i] = 0
+				}
+			}
 		}
-		return v
 	case arena.ActTanh:
-		return float32(math.Tanh(float64(v)))
+		return func(y []float32) {
+			for i, v := range y {
+				y[i] = float32(math.Tanh(float64(v)))
+			}
+		}
 	case arena.ActSigmoid:
-		return float32(1 / (1 + math.Exp(-float64(v))))
+		return func(y []float32) {
+			for i, v := range y {
+				y[i] = float32(1 / (1 + math.Exp(-float64(v))))
+			}
+		}
 	default:
-		return v
+		return func([]float32) {}
 	}
 }
 

@@ -78,8 +78,9 @@ func TestFastNNMatchesNN(t *testing.T) {
 		t.Fatalf("Dim = %d, want %d", fast.Dim(), dim)
 	}
 	rng := rand.New(rand.NewSource(9))
-	// Unit counts cover every batch-padding case: 0..5 plus a larger one.
-	for _, nu := range []struct{ nl, nr int }{{0, 0}, {1, 0}, {1, 1}, {2, 3}, {4, 4}, {5, 2}, {9, 13}} {
+	// Unit counts cover every lane-block case: 0..5, one block of eight,
+	// a partial second block, and 2*Lanes32+1.
+	for _, nu := range []struct{ nl, nr int }{{0, 0}, {1, 0}, {1, 1}, {2, 3}, {4, 4}, {5, 2}, {8, 8}, {9, 13}, {17, 5}} {
 		rec := syntheticRecord(rng, dim, nu.nl, nu.nr)
 		want := s.Score(rec)
 		got := fast.Score(rec)
@@ -138,47 +139,5 @@ func TestFastNNConcurrentScore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	recs := make([]*Record, 8)
-	want := make([][]float64, len(recs))
-	for i := range recs {
-		recs[i] = syntheticRecord(rng, dim, 2+i, 3+i/2)
-		want[i] = fast.Score(recs[i])
-	}
-	done := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		go func() {
-			for iter := 0; iter < 50; iter++ {
-				for i, rec := range recs {
-					got := fast.Score(rec)
-					for j := range got {
-						if got[j] != want[i][j] {
-							done <- fmt.Errorf("rec %d unit %d: %g != %g", i, j, got[j], want[i][j])
-							return
-						}
-					}
-				}
-			}
-			done <- nil
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFastNNScore(b *testing.B) {
-	const dim = 96
-	s := trainedScorer(b, dim)
-	fast, err := NewFastNN(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := syntheticRecord(rand.New(rand.NewSource(1)), dim, 12, 13)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = fast.Score(rec)
-	}
+	concurrentScore(t, fast, dim)
 }

@@ -23,18 +23,24 @@ type nnSnapshot struct {
 // GobEncode implements gob.GobEncoder.
 func (s *NN) GobEncode() ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(nnSnapshot{Net: s.net, Dim: s.dim}); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(nnSnapshot{Net: s.net, Dim: s.Dim()}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// GobDecode implements gob.GobDecoder.
+// GobDecode implements gob.GobDecoder. Gob artifacts and scorer
+// checkpoints both decode here, so NewNN's shape checks stand between
+// any file and the kernel.
 func (s *NN) GobDecode(data []byte) error {
 	var snap nnSnapshot
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&snap); err != nil {
 		return err
 	}
-	s.net, s.dim = snap.Net, snap.Dim
+	n, err := NewNN(snap.Net, snap.Dim)
+	if err != nil {
+		return err
+	}
+	*s = *n
 	return nil
 }

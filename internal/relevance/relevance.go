@@ -190,9 +190,56 @@ func (ts *TrainingSet) Materialize() (x [][]float64, y [][]float64) {
 
 // NN is the production relevance scorer: the paper's 300/64/32 ReLU
 // network with a tanh output head, regressing the Equation 3 targets.
+// Score runs the network through the float64 lane kernel, bit-identical
+// to nn.Net.Forward over Record.Features (TestNNScoreMatchesForward).
 type NN struct {
-	net *nn.Net
-	dim int // embedding dimension the network was trained for
+	net   *nn.Net // the trainer's form, and the gob form
+	lanes *laneNet[float64]
+}
+
+// NewNN wraps a fitted network as the scorer for dim-dimensional
+// embeddings. It rejects a network the kernel cannot run: no layers, a
+// ragged weight row, a bias count other than the row count, an unknown
+// activation, layers that do not chain, an input width other than 2*dim
+// or an output width other than 1. It then packs each layer's rows into
+// one contiguous block and points the network's rows into it, so the
+// kernel and the network read the same weights. The NN owns net.
+func NewNN(net *nn.Net, dim int) (*NN, error) {
+	if net == nil || len(net.Layers) == 0 {
+		return nil, fmt.Errorf("relevance: scorer network has no layers")
+	}
+	layers := make([]laneLayer[float64], len(net.Layers))
+	for li, l := range net.Layers {
+		if _, err := actID(l.Act); err != nil {
+			return nil, fmt.Errorf("relevance: scorer layer %d: %w", li, err)
+		}
+		out, in := len(l.W), 0
+		if out > 0 {
+			in = len(l.W[0])
+		}
+		if len(l.B) != out {
+			return nil, fmt.Errorf("relevance: scorer layer %d has %d biases for %d weight rows", li, len(l.B), out)
+		}
+		packed := make([]float64, out*in)
+		for i, row := range l.W {
+			if len(row) != in {
+				return nil, fmt.Errorf("relevance: scorer layer %d row %d has %d weights, row 0 has %d", li, i, len(row), in)
+			}
+			copy(packed[i*in:], row)
+		}
+		layers[li] = laneLayer[float64]{in: in, out: out, stride: in, w: packed, b: l.B, act: l.Act.ApplyAll}
+	}
+	lanes, err := newLaneNet(dim, vec.Lanes64, vec.DenseTile64, layers)
+	if err != nil {
+		return nil, err
+	}
+	for li, l := range net.Layers {
+		in := layers[li].in
+		for i := range l.W {
+			l.W[i] = layers[li].w[i*in : (i+1)*in : (i+1)*in]
+		}
+	}
+	return &NN{net: net, lanes: lanes}, nil
 }
 
 // NNConfig configures TrainNN.
@@ -237,28 +284,15 @@ func TrainNNCtx(ctx context.Context, ts *TrainingSet, dim int, cfg NNConfig) (*N
 	if _, err := net.FitCtx(ctx, x, y, trainCfg); err != nil {
 		return nil, fmt.Errorf("relevance: %w", err)
 	}
-	return &NN{net: net, dim: dim}, nil
+	return NewNN(net, dim)
 }
 
 // Score implements Scorer. Outputs are clamped to [-1, 1] (the tanh head
 // already enforces it; the clamp guards future head changes).
-func (s *NN) Score(rec *Record) []float64 {
-	out := make([]float64, len(rec.Units))
-	for i := range rec.Units {
-		v := s.net.Forward(rec.Features(i))[0]
-		if v > 1 {
-			v = 1
-		}
-		if v < -1 {
-			v = -1
-		}
-		out[i] = v
-	}
-	return out
-}
+func (s *NN) Score(rec *Record) []float64 { return s.lanes.score(rec) }
 
 // Dim returns the embedding dimension the scorer expects.
-func (s *NN) Dim() int { return s.dim }
+func (s *NN) Dim() int { return s.lanes.dim }
 
 // LeftTexts returns the left tokens' texts in order.
 func (r *Record) LeftTexts() []string { return tokenize.Texts(r.Left) }

@@ -2,15 +2,11 @@ package vec
 
 import "fmt"
 
-// This file holds the float32 / int8 kernels backing the arena model
-// format (DESIGN §10). Arena-loaded systems store embeddings and scorer
-// weights as contiguous float32 (or int8 with per-vector scales); the
-// kernels below widen, dequantize and dot those buffers without per-token
-// allocation. On amd64 with AVX2+FMA the 4-stream dot product dispatches
-// to an assembly microkernel (f32_amd64.s); everywhere else the pure-Go
-// fallbacks run. The two paths differ only in floating-point summation
-// order, which the arena equivalence goldens bound with a committed
-// tolerance.
+// This file holds the float32 / int8 conversions backing the arena model
+// format (DESIGN §10). Arena-loaded systems store embeddings as
+// contiguous float32 (or int8 with per-vector scales); the helpers below
+// widen and dequantize those buffers without per-token allocation. The
+// arena's scorer weights feed DenseTile32 (dense.go) in place.
 
 // Widen converts src into dst element-wise (float32 → float64). The
 // slices must have equal length.
@@ -33,55 +29,3 @@ func Dequant8(dst []float64, q []int8, scale float64) {
 		dst[i] = scale * float64(v)
 	}
 }
-
-// DotF32 returns the float32 inner product of a and b, accumulated in
-// float32 with four independent chains (same shape as DotUnit).
-func DotF32(a, b []float32) float32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch %d != %d", len(a), len(b)))
-	}
-	b = b[:len(a)]
-	var s0, s1, s2, s3 float32
-	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
-		a, b = a[4:], b[4:]
-	}
-	for i, v := range a {
-		s0 += v * b[i]
-	}
-	return (s0 + s1) + (s2 + s3)
-}
-
-// Dot4F32 computes the four inner products of w against x0..x3 in one
-// pass: the batched-layer kernel of the arena relevance scorer, where w
-// is one neuron's weight row and x0..x3 are four decision units' feature
-// rows. All five slices must have the same length.
-func Dot4F32(w, x0, x1, x2, x3 []float32) (s0, s1, s2, s3 float32) {
-	n := len(w)
-	if len(x0) != n || len(x1) != n || len(x2) != n || len(x3) != n {
-		panic(fmt.Sprintf("vec: dimension mismatch %d/%d/%d/%d != %d",
-			len(x0), len(x1), len(x2), len(x3), n))
-	}
-	i := 0
-	if f32UseASM && n >= 8 {
-		m := n &^ 7
-		s0, s1, s2, s3 = dot4Accel(w, x0, x1, x2, x3, m)
-		i = m
-	}
-	for ; i < n; i++ {
-		wi := w[i]
-		s0 += wi * x0[i]
-		s1 += wi * x1[i]
-		s2 += wi * x2[i]
-		s3 += wi * x3[i]
-	}
-	return s0, s1, s2, s3
-}
-
-// HasF32ASM reports whether the float32 kernels run on the AVX2+FMA
-// assembly path on this machine (false on non-amd64 builds and on CPUs
-// or kernels without AVX2, FMA and OS-saved YMM state).
-func HasF32ASM() bool { return f32UseASM }

@@ -1,91 +1,6 @@
 package vec
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-func randF32(rng *rand.Rand, n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = float32(rng.NormFloat64())
-	}
-	return out
-}
-
-// dot4Ref is the float64 reference the fast paths are compared against.
-func dot4Ref(w, x0, x1, x2, x3 []float32) (s [4]float64) {
-	for i, wi := range w {
-		s[0] += float64(wi) * float64(x0[i])
-		s[1] += float64(wi) * float64(x1[i])
-		s[2] += float64(wi) * float64(x2[i])
-		s[3] += float64(wi) * float64(x3[i])
-	}
-	return s
-}
-
-func TestDot4F32MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	// Sizes straddle every kernel regime: scalar only, one 8-block, odd
-	// 8-block tail, 16-block main loop, and realistic layer widths.
-	for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 24, 31, 32, 192, 200, 300, 304} {
-		w := randF32(rng, n)
-		x0, x1, x2, x3 := randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)
-		ref := dot4Ref(w, x0, x1, x2, x3)
-		s0, s1, s2, s3 := Dot4F32(w, x0, x1, x2, x3)
-		tol := 1e-4 * math.Max(1, math.Sqrt(float64(n)))
-		for i, got := range []float32{s0, s1, s2, s3} {
-			if math.Abs(float64(got)-ref[i]) > tol {
-				t.Fatalf("n=%d stream=%d: got %v, reference %v (asm=%v)", n, i, got, ref[i], HasF32ASM())
-			}
-		}
-	}
-}
-
-func TestDot4F32ASMAgainstGeneric(t *testing.T) {
-	if !HasF32ASM() {
-		t.Skip("no float32 assembly kernel on this machine")
-	}
-	rng := rand.New(rand.NewSource(11))
-	defer func(prev bool) { f32UseASM = prev }(f32UseASM)
-	for _, n := range []int{8, 16, 40, 96, 192, 300, 304} {
-		w := randF32(rng, n)
-		x0, x1, x2, x3 := randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)
-		f32UseASM = true
-		a0, a1, a2, a3 := Dot4F32(w, x0, x1, x2, x3)
-		f32UseASM = false
-		g0, g1, g2, g3 := Dot4F32(w, x0, x1, x2, x3)
-		for i, pair := range [][2]float32{{a0, g0}, {a1, g1}, {a2, g2}, {a3, g3}} {
-			if math.Abs(float64(pair[0])-float64(pair[1])) > 1e-4 {
-				t.Fatalf("n=%d stream=%d: asm %v vs generic %v", n, i, pair[0], pair[1])
-			}
-		}
-	}
-}
-
-func TestDot4F32PanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	Dot4F32(make([]float32, 8), make([]float32, 8), make([]float32, 7), make([]float32, 8), make([]float32, 8))
-}
-
-func TestDotF32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 4, 5, 7, 8, 33, 192} {
-		a, b := randF32(rng, n), randF32(rng, n)
-		var ref float64
-		for i := range a {
-			ref += float64(a[i]) * float64(b[i])
-		}
-		if got := DotF32(a, b); math.Abs(float64(got)-ref) > 1e-4 {
-			t.Fatalf("n=%d: got %v, want %v", n, got, ref)
-		}
-	}
-}
+import "testing"
 
 func TestWidenAndDequant8(t *testing.T) {
 	src := []float32{1.5, -2.25, 0, 3}
@@ -122,18 +37,4 @@ func TestDequant8PanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Dequant8(make([]float64, 3), make([]int8, 4), 1)
-}
-
-func BenchmarkDot4F32(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 192
-	w := randF32(rng, n)
-	x0, x1, x2, x3 := randF32(rng, n), randF32(rng, n), randF32(rng, n), randF32(rng, n)
-	b.ReportAllocs()
-	var sink float32
-	for i := 0; i < b.N; i++ {
-		s0, s1, s2, s3 := Dot4F32(w, x0, x1, x2, x3)
-		sink += s0 + s1 + s2 + s3
-	}
-	_ = sink
 }
