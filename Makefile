@@ -27,7 +27,7 @@ fmt-check:
 test:
 	$(GO) test ./...
 
-# cmd/wym alone needs ~10 min under the race detector on one core.
+# cmd/wym alone takes ~2.5 min under the race detector on a 2-core host.
 race:
 	$(GO) test -race -timeout 30m ./...
 
@@ -51,19 +51,21 @@ train-race:
 ## would segfault here), NN and FastNN scorer determinism under
 ## concurrency, the arena/gob prediction-equivalence goldens, the corrupt
 ## model inputs, and the scorer kernels' exactness tests (NN.Score equal
-## to the per-unit forward pass bit for bit, assembly vs generic tiles).
+## to the per-unit forward pass bit for bit, assembly vs generic tiles,
+## the lane trainer's weights equal to the per-example reference's).
 model-race:
 	$(GO) test -race -timeout 15m \
-		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestNNConcurrentScore|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorrupt|TestNNScoreMatchesForward|TestNNGobDecodeRejectsMalformed|TestDenseTile' \
-		./cmd/wym-server ./internal/relevance ./internal/core ./internal/vec
+		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestNNConcurrentScore|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorrupt|TestNNScoreMatchesForward|TestNNGobDecodeRejectsMalformed|TestDenseTile|TestFitMatchesReference' \
+		./cmd/wym-server ./internal/relevance ./internal/core ./internal/vec ./internal/nn
 
 ## exact-v3: the float64 exactness tests rebuilt for GOAMD64=v3, whose
 ## CPUs have FMA. Were a toolchain ever to fuse multiply-add on amd64, the
-## compiled reference forward pass and the kernel would diverge here.
+## compiled reference forward pass, backward pass or Adam step and the
+## kernels or the lane trainer would diverge here.
 exact-v3:
 	GOAMD64=v3 $(GO) test -count=1 -timeout 10m \
-		-run 'TestNNScoreMatchesForward|TestDenseTileASMAgainstGeneric' \
-		./internal/relevance ./internal/vec
+		-run 'TestNNScoreMatchesForward|TestDenseTileASMAgainstGeneric|TestFitMatchesReference' \
+		./internal/relevance ./internal/vec ./internal/nn
 
 ## router-race: the fleet-routing chaos suites under the race detector —
 ## the ring/breaker/backoff/pool unit tests, the stub-fleet chaos harness

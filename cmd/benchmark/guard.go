@@ -115,12 +115,22 @@ func checkCrossGates(benchmarks map[string]benchResult, gates []crossGate) []str
 			continue
 		}
 		if fast.NsPerOp*g.speedup > slow.NsPerOp {
-			violations = append(violations, fmt.Sprintf(
-				"%s must be >=%.0fx faster than %s: %.0f ns/op vs %.0f ns/op (%.1fx)",
-				g.fast, g.speedup, g.slow, fast.NsPerOp, slow.NsPerOp, slow.NsPerOp/fast.NsPerOp))
+			violations = append(violations, g.violation(fast.NsPerOp, slow.NsPerOp))
 		}
 	}
 	return violations
+}
+
+// violation words a failed gate by its kind: a speedup of at least 1 as
+// "must be >=2x faster than", a fractional one as the overhead bound it
+// is, "must be <=1.25x".
+func (g crossGate) violation(fast, slow float64) string {
+	if g.speedup < 1 {
+		return fmt.Sprintf("%s must be <=%gx %s: %.0f ns/op vs %.0f ns/op (%.2fx)",
+			g.fast, 1/g.speedup, g.slow, fast, slow, fast/slow)
+	}
+	return fmt.Sprintf("%s must be >=%gx faster than %s: %.0f ns/op vs %.0f ns/op (%.1fx)",
+		g.fast, g.speedup, g.slow, fast, slow, slow/fast)
 }
 
 // runBenchGuard loads the baseline, re-times the same workload, and

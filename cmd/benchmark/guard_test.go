@@ -1,6 +1,7 @@
 package main
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -155,5 +156,17 @@ func TestCheckCrossGatesFractionalSpeedup(t *testing.T) {
 	}
 	if v := checkCrossGates(over, gates); len(v) != 1 || !strings.Contains(v[0], "PredictAudited") {
 		t.Fatalf("violations = %v, want one PredictAudited entry", v)
+	}
+	// Both message forms: a fractional factor reads as the overhead bound
+	// it sets, any other as a speedup, neither rounded to a whole number.
+	over["ArenaPredict"] = bench(800_000, 100)
+	gates = append(gates,
+		crossGate{fast: "ArenaPredict", slow: "Predict", speedup: 2.5})
+	want := []string{
+		"PredictAudited must be <=1.25x Predict: 1300000 ns/op vs 1000000 ns/op (1.30x)",
+		"ArenaPredict must be >=2.5x faster than Predict: 800000 ns/op vs 1000000 ns/op (1.2x)",
+	}
+	if v := checkCrossGates(over, gates); !reflect.DeepEqual(v, want) {
+		t.Fatalf("violations = %q, want %q", v, want)
 	}
 }

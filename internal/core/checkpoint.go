@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -93,9 +94,10 @@ func (ck *checkpointer) path(st Stage) string {
 }
 
 // save gob-encodes the payload, wraps it in a verified envelope, and
-// writes it atomically (temp file + rename) so a crash mid-write never
-// leaves a half-checkpoint behind. A nil checkpointer is a no-op, which
-// lets Train call save unconditionally.
+// writes it atomically and durably (writeFileAtomic) so a crash mid-write
+// never leaves a half-checkpoint behind. A new checkpoint is readable by
+// its owner only: it holds both splits' records. A nil checkpointer is a
+// no-op, which lets Train call save unconditionally.
 func (ck *checkpointer) save(st Stage, payload any) error {
 	if ck == nil {
 		return nil
@@ -117,22 +119,11 @@ func (ck *checkpointer) save(st Stage, payload any) error {
 	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
 		return fmt.Errorf("core: encoding %s checkpoint envelope: %w", st, err)
 	}
-	dst := ck.path(st)
-	tmp, err := os.CreateTemp(ck.dir, "."+filepath.Base(dst)+".tmp*")
+	err := writeFileAtomic(ck.path(st), 0o600, func(w io.Writer) error {
+		_, err := w.Write(buf.Bytes())
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("core: writing %s checkpoint: %w", st, err)
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: writing %s checkpoint: %w", st, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: writing %s checkpoint: %w", st, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("core: writing %s checkpoint: %w", st, err)
 	}
 	return nil

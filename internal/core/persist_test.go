@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,6 +81,106 @@ func TestSaveLoadFile(t *testing.T) {
 	l2, _ := loaded.Predict(test.Pairs[0])
 	if l1 != l2 {
 		t.Fatal("file round trip changed predictions")
+	}
+}
+
+// TestSaveFileAtomic: a save that fails, before writing or halfway
+// through, leaves the old artifact byte-identical and no temp file
+// behind; a save that succeeds replaces the file whole and keeps the
+// mode os.Create would give it. A new stage checkpoint is owner-only.
+func TestSaveFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.gob")
+	old := []byte("the artifact being served")
+	if err := os.WriteFile(path, old, 0o640); err != nil {
+		t.Fatal(err)
+	}
+	onlyFiles := func(want ...string) {
+		t.Helper()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if strings.Join(names, ",") != strings.Join(want, ",") {
+			t.Fatalf("directory holds %v, want %v", names, want)
+		}
+	}
+	unchanged := func() {
+		t.Helper()
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("old artifact changed: %q, %v", got, err)
+		}
+		onlyFiles("model.gob")
+	}
+
+	if err := (&System{}).SaveFile(path); err == nil {
+		t.Fatal("saving an untrained system succeeded")
+	}
+	unchanged()
+
+	errDisk := errors.New("disk full")
+	err := writeFileAtomic(path, 0o666, func(w io.Writer) error {
+		if _, err := w.Write([]byte("half an art")); err != nil {
+			return err
+		}
+		return errDisk
+	})
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("failed write returned %v, want %v", err, errDisk)
+	}
+	unchanged()
+
+	write := func(p string, data string) {
+		t.Helper()
+		if err := writeFileAtomic(p, 0o666, func(w io.Writer) error {
+			_, err := io.WriteString(w, data)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(p); err != nil || string(got) != data {
+			t.Fatalf("%s holds %q, %v; want %q", p, got, err, data)
+		}
+	}
+	perm := func(p string) os.FileMode {
+		t.Helper()
+		st, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Mode().Perm()
+	}
+	write(path, "new artifact")
+	if got := perm(path); got != 0o640 {
+		t.Fatalf("replaced file mode %v, want 0640", got)
+	}
+	onlyFiles("model.gob")
+
+	created := filepath.Join(dir, "created")
+	f, err := os.Create(created)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	write(filepath.Join(dir, "fresh"), "x")
+	if got, want := perm(filepath.Join(dir, "fresh")), perm(created); got != want {
+		t.Fatalf("new file mode %v; os.Create gives %v", got, want)
+	}
+	onlyFiles("created", "fresh", "model.gob")
+
+	ck, err := newCheckpointer(filepath.Join(dir, "ckpt"), Config{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ck.save(StageScorer, []float64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := perm(ck.path(StageScorer)); got != 0o600 {
+		t.Fatalf("new checkpoint mode %v, want 0600", got)
 	}
 }
 

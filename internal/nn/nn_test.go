@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -200,6 +201,27 @@ func TestFitErrors(t *testing.T) {
 	bad.Epochs = 0
 	if _, err := n.Fit([][]float64{{1, 2}}, [][]float64{{1}}, bad); err == nil {
 		t.Fatal("expected error on invalid config")
+	}
+	// Ragged rows past the first are rejected by row, never padded or
+	// truncated into the lanes.
+	for _, tc := range []struct {
+		x, y [][]float64
+		want string
+	}{
+		{[][]float64{{1, 2}, {3}}, [][]float64{{1}, {0}}, "input dim 1, network expects 2 (row 1)"},
+		{[][]float64{{1, 2}, {3, 4}, {5, 6, 7}}, [][]float64{{1}, {0}, {1}}, "input dim 3, network expects 2 (row 2)"},
+		{[][]float64{{1, 2}, {3, 4}}, [][]float64{{1}, {}}, "target dim 0, network outputs 1 (row 1)"},
+		{[][]float64{{1, 2}, {3, 4}}, [][]float64{{1, 0}, {1}}, "target dim 2, network outputs 1 (row 0)"},
+	} {
+		_, err := n.Fit(tc.x, tc.y, Defaults())
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Fit(%v, %v) error %v, want %q", tc.x, tc.y, err, tc.want)
+		}
+	}
+	malformed := New([]int{2, 3, 1}, []Activation{ReLU, Identity}, 1)
+	malformed.Layers[0].W[1] = malformed.Layers[0].W[1][:1]
+	if _, err := malformed.Fit([][]float64{{1, 2}}, [][]float64{{1}}, Defaults()); err == nil {
+		t.Fatal("expected error on a ragged weight row")
 	}
 }
 

@@ -198,33 +198,23 @@ type NN struct {
 }
 
 // NewNN wraps a fitted network as the scorer for dim-dimensional
-// embeddings. It rejects a network the kernel cannot run: no layers, a
-// ragged weight row, a bias count other than the row count, an unknown
-// activation, layers that do not chain, an input width other than 2*dim
+// embeddings. It rejects a network the kernel cannot run: one that fails
+// nn.Net.Validate, an unknown activation, an input width other than 2*dim
 // or an output width other than 1. It then packs each layer's rows into
 // one contiguous block and points the network's rows into it, so the
 // kernel and the network read the same weights. The NN owns net.
 func NewNN(net *nn.Net, dim int) (*NN, error) {
-	if net == nil || len(net.Layers) == 0 {
-		return nil, fmt.Errorf("relevance: scorer network has no layers")
+	if err := net.Validate(); err != nil {
+		return nil, fmt.Errorf("relevance: scorer network: %w", err)
 	}
 	layers := make([]laneLayer[float64], len(net.Layers))
 	for li, l := range net.Layers {
 		if _, err := actID(l.Act); err != nil {
 			return nil, fmt.Errorf("relevance: scorer layer %d: %w", li, err)
 		}
-		out, in := len(l.W), 0
-		if out > 0 {
-			in = len(l.W[0])
-		}
-		if len(l.B) != out {
-			return nil, fmt.Errorf("relevance: scorer layer %d has %d biases for %d weight rows", li, len(l.B), out)
-		}
+		out, in := len(l.W), len(l.W[0])
 		packed := make([]float64, out*in)
 		for i, row := range l.W {
-			if len(row) != in {
-				return nil, fmt.Errorf("relevance: scorer layer %d row %d has %d weights, row 0 has %d", li, i, len(row), in)
-			}
 			copy(packed[i*in:], row)
 		}
 		layers[li] = laneLayer[float64]{in: in, out: out, stride: in, w: packed, b: l.B, act: l.Act.ApplyAll}
