@@ -6,11 +6,12 @@ GO ?= go
 ## package, internal/serve included), build, the serving-layer race gate,
 ## the fault-tolerant-training race gate, the model-format race gate, the
 ## scorer exactness tests rebuilt for GOAMD64=v3, the fleet-routing chaos
-## gate, the crash-safe-matching race gate, the
-## online-learning crash gate, the audit-trail crash gate, a fuzz smoke
-## pass over CSV ingest, arena parsing, blocking, the feedback journal,
-## and the audit log, full race-enabled tests, short benchmarks, and the
-## coverage ratchet.
+## gate, the crash-safe-matching race gate, the online-learning and
+## audit-trail crash gates (each also runs the whole shared storage
+## layer, internal/durable, that the journal and the audit log sit on),
+## a fuzz smoke pass over CSV ingest, arena parsing, blocking, the
+## feedback journal, and the audit log, full race-enabled tests, short
+## benchmarks, and the coverage ratchet.
 check: fmt-check vet build serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke race bench cover
 
 build:
@@ -89,22 +90,26 @@ match-race:
 ## label-race: the online-learning suite under the race detector — the
 ## ApplyFeedback order-invariance goldens, the active-labeling quality
 ## gate, the serving feedback endpoints (apply + journal + atomic swap
-## vs concurrent predict load), startup journal replay, and the SIGKILL
-## crash e2e (fingerprint-identical replay after an unclean death).
+## vs concurrent predict load), startup journal replay, the SIGKILL
+## crash e2e (fingerprint-identical replay after an unclean death), and
+## every test of internal/durable, the segment log under the journal.
 label-race:
 	$(GO) test -race -timeout 30m \
 		-run 'TestApplyFeedback|TestSelector|TestFeedback|TestJournal|TestLabel|TestGoldenLabelAuto' \
 		./internal/feedback ./internal/core ./cmd/wym-server ./cmd/wym
+	$(GO) test -race ./internal/durable
 
 ## audit-race: the prediction-audit-trail suite under the race detector —
 ## the append/rotate/retention property tests, the deterministic-sampler
 ## properties, exact counter/record accounting through a live audited
-## server, the mid-load SIGKILL recovery e2e, the audit CLI goldens, and
-## the audit-show/live-explain parity gate.
+## server, the mid-load SIGKILL recovery e2e, the audit CLI goldens, the
+## audit-show/live-explain parity gate, and every test of
+## internal/durable, the segment log under the audit log.
 audit-race:
 	$(GO) test -race -timeout 15m \
 		-run 'TestAudit|TestGoldenAudit' \
 		./internal/audit ./cmd/wym-server ./cmd/wym
+	$(GO) test -race ./internal/durable
 
 ## fuzz-smoke: a short native-fuzz pass over the untrusted-input
 ## surfaces — both CSV ingest readers, the arena (.wyma) parser, the

@@ -32,12 +32,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"unsafe"
+
+	"wym/internal/durable"
 )
 
 // Magic identifies a .wyma arena file; it doubles as the sniff prefix
@@ -588,31 +590,18 @@ func Encode(b *Build) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFile encodes b and writes it to path atomically (temp file in the
-// same directory, fsync, rename), matching the checkpoint writer idiom.
+// WriteFile encodes b and writes it to path atomically and durably
+// (durable.WriteFile). A new arena file is readable by its owner only.
 func WriteFile(path string, b *Build) error {
 	img, err := Encode(b)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".wyma-*")
+	err = durable.WriteFile(path, 0o600, func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("arena %s: %w", path, err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(img); err != nil {
-		tmp.Close()
-		return fmt.Errorf("arena %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("arena %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("arena %s: %w", path, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("arena %s: %w", path, err)
 	}
 	return nil

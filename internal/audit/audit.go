@@ -5,8 +5,8 @@
 // fingerprints), both entity sides, the prediction with score and
 // threshold, the compact explanation, and latency.
 //
-// The on-disk WYMAUD segment format follows the feedback journal's
-// framing conventions (internal/feedback): a directory of numbered
+// The on-disk WYMAUD segment format runs on the same segment log as the
+// feedback journal (internal/durable): a directory of numbered
 // segments, each starting with an 8-byte magic and holding
 // length-prefixed, CRC-32C-checked gob records. Where the journal
 // fsyncs every append (labels are few and each must survive power

@@ -45,7 +45,7 @@ func FuzzAuditLog(f *testing.F) {
 			}
 		}
 		l.Close()
-		seg := segmentPath(dir, 0)
+		seg := format.SegmentPath(dir, 0)
 		raw, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)

@@ -1,490 +1,108 @@
 package audit
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
-	"sync"
-	"time"
+	"sync/atomic"
+
+	"wym/internal/durable"
 )
 
-// Segment layout: numbered files (000000.wymaud, 000001.wymaud, …),
-// each starting with an 8-byte magic and holding length-prefixed,
-// CRC-32C-checked records — one gob-encoded Record each, framed with a
-// fresh encoder so records are independently decodable.
+// The log is a WYMAUD1 segment log (internal/durable): a directory of
+// numbered .wymaud segments whose records are gob-encoded Records, each
+// with a fresh encoder so records are independently decodable.
 //
 // Crash model: appends are buffered and fsync'd on the flush interval
 // (or per append with FlushEvery zero), so a crash loses at most the
-// unflushed tail of the newest segment. Open repairs that tail by
-// truncating back to the last whole record; a CRC or framing failure
-// anywhere else is real corruption and fails the open. The tolerant
-// reader (Scan) instead recovers the longest valid prefix of every
-// segment — querying a log must work even when the writer would refuse
-// it.
+// unflushed tail of the newest segment. Open verifies every sealed
+// segment and repairs that tail; damage anywhere else fails the open
+// with ErrCorrupt. Retention prunes segments from the front, so a log
+// may start at any segment index.
 
-const (
-	segmentMagic = "WYMAUD1\n"
-	segmentExt   = ".wymaud"
-
-	// recordHeaderLen is the framing overhead per record:
-	// u32le payload length + u32le CRC-32C of the payload.
-	recordHeaderLen = 8
-
-	// maxRecordLen bounds a single record so a corrupt length prefix
-	// cannot drive a huge allocation during replay. Audit records are a
-	// pair of entities plus an explanation — a few KiB; 16 MiB is
-	// generous.
-	maxRecordLen = 16 << 20
-
-	// DefaultSegmentBytes rotates segments at 8 MiB.
-	DefaultSegmentBytes = 8 << 20
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// DefaultSegmentBytes rotates segments at 8 MiB.
+const DefaultSegmentBytes = durable.DefaultSegmentBytes
 
 // ErrCorrupt marks log damage that tail-truncation cannot repair: a bad
-// magic, a segment sequence gap, or a CRC/framing failure before the
-// final record of the final segment.
+// magic, a segment sequence gap, or a CRC, framing or decoding failure
+// before the final record of the final segment.
 var ErrCorrupt = errors.New("audit: log corrupt")
 
-// Options tunes a Log. The zero value is usable: default segment size,
-// unbounded retention, and an fsync per append.
-type Options struct {
-	// SegmentBytes is the rotation threshold (default 8 MiB). A record
-	// must fit a single segment; oversized appends are rejected.
-	SegmentBytes int64
-	// RetainBytes caps the log's total on-disk size (0 = unbounded).
-	// At rotation, the oldest sealed segments are pruned until the
-	// sealed total fits RetainBytes minus one full segment, so
-	// sealed + active never exceeds the cap and the active segment is
-	// never deleted. Must be at least 2*SegmentBytes when set.
-	RetainBytes int64
-	// FlushEvery batches fsyncs: appended records become durable at the
-	// next interval tick, on rotation, on Sync, and on Close. Zero
-	// flushes and fsyncs every append (the feedback journal's
-	// discipline — right for tests and low-rate batch jobs, too slow
-	// for serving).
-	FlushEvery time.Duration
+var format = durable.Format{
+	Magic: "WYMAUD1\n",
+	Ext:   ".wymaud",
+	// Audit records are a pair of entities plus an explanation — a few
+	// KiB; 16 MiB is generous.
+	MaxRecord:  16 << 20,
+	Pruned:     true,
+	ErrCorrupt: ErrCorrupt,
 }
+
+// Options tunes a Log (see durable.Options). The zero value is usable:
+// default segment size, unbounded retention, and an fsync per append —
+// right for tests and low-rate batch jobs, too slow for serving. A
+// record must fit a single segment; oversized appends are rejected.
+type Options = durable.Options
 
 // Log is an append-only audit log writer. Append is safe for
 // concurrent use.
 type Log struct {
-	dir string
-	opt Options
-
-	mu       sync.Mutex
-	f        *os.File      // newest segment, append position at EOF
-	w        *bufio.Writer // buffers appends between fsyncs
-	seg      int           // index of the newest segment
-	oldest   int           // index of the oldest retained segment
-	segBytes int64         // bytes written to the newest segment
-	sealed   map[int]int64 // sizes of sealed (rotated-out) segments
-	dirty    bool          // buffered or unsynced bytes exist
-	records  int64         // records appended this session
-
-	done chan struct{} // closes the background flusher
-	wg   sync.WaitGroup
+	log     *durable.Log
+	records atomic.Int64 // records appended this session
 }
 
-// Open opens (creating if needed) the audit log in dir, repairing a
-// torn tail on the newest segment. Unlike the feedback journal, Open
-// does not return the replayed records — audit logs are queried with
-// Scan, not replayed into memory.
+// Open opens (creating if needed) the audit log in dir, verifying
+// sealed segments and repairing a torn tail on the newest one. Unlike
+// the feedback journal, Open does not return the records — audit logs
+// are queried with Scan, not replayed into memory.
 func Open(dir string, opt Options) (*Log, error) {
-	if opt.SegmentBytes == 0 {
-		opt.SegmentBytes = DefaultSegmentBytes
-	}
-	if opt.SegmentBytes < int64(len(segmentMagic))+recordHeaderLen {
-		return nil, fmt.Errorf("audit: segment limit %d too small", opt.SegmentBytes)
-	}
-	if opt.RetainBytes > 0 && opt.RetainBytes < 2*opt.SegmentBytes {
-		return nil, fmt.Errorf("audit: retention cap %d must be at least two segments (%d)",
-			opt.RetainBytes, 2*opt.SegmentBytes)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	segs, err := listSegments(dir)
+	log, err := durable.Open(dir, &format, opt, func(payload []byte) error {
+		_, err := decode(payload)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	l := &Log{dir: dir, opt: opt, sealed: make(map[int]int64)}
-	for i, seg := range segs {
-		path := segmentPath(dir, seg)
-		last := i == len(segs)-1
-		if !last {
-			st, err := os.Stat(path)
-			if err != nil {
-				return nil, err
-			}
-			// Sealed segments must be intact end to end; verify frames.
-			if _, err := scanSegment(path, false, nil); err != nil {
-				return nil, err
-			}
-			l.sealed[seg] = st.Size()
-			continue
-		}
-		validLen, err := scanSegment(path, true, nil)
-		if err != nil {
-			return nil, err
-		}
-		// Repair the torn tail by truncating to the last whole record.
-		// The truncation is fsync'd through the same handle later
-		// appends use, so a second crash cannot resurrect torn bytes
-		// under newly appended records.
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		if err := f.Truncate(validLen); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.f, l.seg, l.segBytes = f, seg, validLen
-	}
-	if len(segs) == 0 {
-		if err := l.startSegment(0); err != nil {
-			return nil, err
-		}
-	} else {
-		l.oldest = segs[0]
-		l.w = bufio.NewWriter(l.f)
-	}
-	if opt.FlushEvery > 0 {
-		l.done = make(chan struct{})
-		l.wg.Add(1)
-		go l.flushLoop()
-	}
-	return l, nil
+	return &Log{log: log}, nil
 }
 
-// Append frames, checksums, and writes one record. With a flush
-// interval configured the write is buffered — durable at the next tick,
-// Sync, rotation, or Close; without one it is fsync'd before returning.
-// Append never blocks on an interval fsync in progress for longer than
-// the fsync itself (one mutex guards the log).
+// Append encodes and writes one record. With a flush interval
+// configured the write is buffered — durable at the next tick, Sync,
+// rotation, or Close; without one it is fsync'd before returning.
 func (l *Log) Append(rec Record) error {
 	var payload bytes.Buffer
 	if err := gob.NewEncoder(&payload).Encode(&rec); err != nil {
 		return err
 	}
-	framed := int64(recordHeaderLen + payload.Len())
-	if payload.Len() > maxRecordLen ||
-		framed > l.opt.SegmentBytes-int64(len(segmentMagic)) {
+	if payload.Len() > l.log.Room() {
 		return fmt.Errorf("audit: record %q encodes to %d bytes, exceeds a segment", rec.RequestID, payload.Len())
 	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("audit: log closed")
-	}
-	if l.segBytes+framed > l.opt.SegmentBytes {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	var hdr [recordHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload.Bytes(), castagnoli))
-	if _, err := l.w.Write(hdr[:]); err != nil {
+	if err := l.log.Append(payload.Bytes()); err != nil {
 		return err
 	}
-	if _, err := l.w.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	l.segBytes += framed
-	l.records++
-	l.dirty = true
-	if l.opt.FlushEvery <= 0 {
-		return l.syncLocked()
-	}
+	l.records.Add(1)
 	return nil
 }
 
 // Sync flushes buffered records and fsyncs the active segment: when it
 // returns nil, every previously acknowledged Append survives power
 // loss. Batch jobs call it at chunk boundaries.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return errors.New("audit: log closed")
-	}
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	if !l.dirty {
-		return nil
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.dirty = false
-	return nil
-}
+func (l *Log) Sync() error { return l.log.Sync() }
 
 // Records returns the number of records appended this session.
-func (l *Log) Records() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
-}
+func (l *Log) Records() int64 { return l.records.Load() }
 
 // Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
+func (l *Log) Dir() string { return l.log.Dir() }
 
 // Close flushes, fsyncs, and releases the segment handle. The flusher
 // goroutine (if any) is stopped first.
-func (l *Log) Close() error {
-	if l.done != nil {
-		close(l.done)
-		l.wg.Wait()
-		l.done = nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.syncLocked()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
-}
+func (l *Log) Close() error { return l.log.Close() }
 
-// flushLoop fsyncs dirty buffers every FlushEvery until Close.
-func (l *Log) flushLoop() {
-	defer l.wg.Done()
-	t := time.NewTicker(l.opt.FlushEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.done:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if l.f != nil {
-				// A failed interval fsync leaves dirty set; the error
-				// surfaces on the next Sync/Close or a later retry.
-				_ = l.syncLocked()
-			}
-			l.mu.Unlock()
-		}
-	}
-}
-
-// rotate seals the active segment (flush + fsync + close), starts the
-// next one, and prunes sealed segments past the retention cap. Called
-// with the mutex held.
-func (l *Log) rotate() error {
-	if err := l.syncLocked(); err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	l.sealed[l.seg] = l.segBytes
-	if err := l.startSegment(l.seg + 1); err != nil {
-		return err
-	}
-	return l.pruneLocked()
-}
-
-// pruneLocked deletes the oldest sealed segments until the sealed
-// total fits RetainBytes minus one full segment — so sealed + active
-// never exceeds the cap, whatever the active segment grows to. The
-// active segment is never a candidate.
-func (l *Log) pruneLocked() error {
-	if l.opt.RetainBytes <= 0 {
-		return nil
-	}
-	budget := l.opt.RetainBytes - l.opt.SegmentBytes
-	for l.sealedTotalLocked() > budget && l.oldest < l.seg {
-		if err := os.Remove(segmentPath(l.dir, l.oldest)); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-		delete(l.sealed, l.oldest)
-		l.oldest++
-	}
-	return nil
-}
-
-func (l *Log) sealedTotalLocked() int64 {
-	var total int64
-	for _, n := range l.sealed {
-		total += n
-	}
-	return total
-}
-
-func (l *Log) startSegment(seg int) error {
-	f, err := os.OpenFile(segmentPath(l.dir, seg), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(segmentMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return err
-	}
-	l.f, l.seg, l.segBytes = f, seg, int64(len(segmentMagic))
-	l.w = bufio.NewWriter(f)
-	l.dirty = false
-	return nil
-}
-
-// syncDir fsyncs the directory so a freshly created segment file's
-// directory entry is durable too.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func segmentPath(dir string, seg int) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d%s", seg, segmentExt))
-}
-
-// listSegments returns the segment indices in dir, ascending. The
-// sequence must be contiguous but need not start at zero — retention
-// pruning removes segments from the front.
-func listSegments(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []int
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != segmentExt {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(name, "%06d"+segmentExt, &n); err != nil {
-			return nil, fmt.Errorf("%w: unrecognized segment name %q", ErrCorrupt, name)
-		}
-		segs = append(segs, n)
-	}
-	sort.Ints(segs)
-	for i := 1; i < len(segs); i++ {
-		if segs[i] != segs[i-1]+1 {
-			return nil, fmt.Errorf("%w: segment sequence gap (%06d then %06d)", ErrCorrupt, segs[i-1], segs[i])
-		}
-	}
-	return segs, nil
-}
-
-// scanSegment walks one segment's frames, calling fn (when non-nil) per
-// decoded record, and returns the length of the valid prefix. With
-// repairTail, a torn or corrupt tail is not an error — the valid length
-// reports where to truncate; without it any damage is ErrCorrupt.
-func scanSegment(path string, repairTail bool, fn func(Record) error) (validLen int64, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if len(raw) < len(segmentMagic) || string(raw[:len(segmentMagic)]) != segmentMagic {
-		if repairTail && len(raw) < len(segmentMagic) && bytes.HasPrefix([]byte(segmentMagic), raw) {
-			// Crash during segment creation: a partial magic is a torn
-			// tail too. Repair to a valid empty segment.
-			return repairEmptyMagic(path)
-		}
-		return 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
-	}
-	off := int64(len(segmentMagic))
-	for {
-		rest := raw[off:]
-		if len(rest) == 0 {
-			return off, nil
-		}
-		rec, n, rerr := decodeRecord(rest)
-		if rerr != nil {
-			if repairTail {
-				return off, nil
-			}
-			return 0, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, filepath.Base(path), off, rerr)
-		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return off, err
-			}
-		}
-		off += n
-	}
-}
-
-// repairEmptyMagic rewrites a segment whose magic itself was torn by a
-// crash during creation: the file becomes a valid empty segment,
-// fsync'd so a crash right after repair cannot resurrect the partial
-// magic.
-func repairEmptyMagic(path string) (int64, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	if _, err := f.Write([]byte(segmentMagic)); err != nil {
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		return 0, err
-	}
-	return int64(len(segmentMagic)), nil
-}
-
-// decodeRecord parses one framed record from the front of b, returning
-// the record and the bytes consumed. Any shortfall, CRC mismatch, or
-// gob failure is an error (the caller decides whether it is a
-// repairable tail).
-func decodeRecord(b []byte) (Record, int64, error) {
+// decode is the codec's read side: one payload is one gob-encoded Record.
+func decode(payload []byte) (Record, error) {
 	var rec Record
-	if len(b) < recordHeaderLen {
-		return rec, 0, io.ErrUnexpectedEOF
-	}
-	plen := binary.LittleEndian.Uint32(b[0:])
-	want := binary.LittleEndian.Uint32(b[4:])
-	if plen > maxRecordLen {
-		return rec, 0, fmt.Errorf("record length %d exceeds limit", plen)
-	}
-	if uint32(len(b)-recordHeaderLen) < plen {
-		return rec, 0, io.ErrUnexpectedEOF
-	}
-	payload := b[recordHeaderLen : recordHeaderLen+int(plen)]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return rec, 0, errors.New("crc mismatch")
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return rec, 0, err
-	}
-	return rec, recordHeaderLen + int64(plen), nil
+	err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec)
+	return rec, err
 }

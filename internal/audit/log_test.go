@@ -141,7 +141,7 @@ func TestAuditTornTailRepair(t *testing.T) {
 				}
 			}
 			l.Close()
-			seg := segmentPath(dir, 0)
+			seg := format.SegmentPath(dir, 0)
 			raw, err := os.ReadFile(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -198,7 +198,7 @@ func TestAuditCorruptMiddle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg := segmentPath(dir, 0)
+	seg := format.SegmentPath(dir, 0)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)

@@ -1,94 +1,19 @@
 package audit
 
-import (
-	"encoding/binary"
-	"hash/crc32"
-	"os"
-	"path/filepath"
-	"sort"
-)
+import "wym/internal/durable"
 
 // ScanStats summarizes one Scan pass.
-type ScanStats struct {
-	Segments  int // segment files visited
-	Records   int // records decoded and delivered
-	Truncated int // segments whose tail (or entirety) was unreadable
-}
+type ScanStats = durable.ScanStats
 
 // Scan reads every decodable record in dir, oldest segment first,
 // calling fn per record. It is the tolerant reader: each segment is
 // recovered to its longest valid prefix — a bad magic, torn tail,
-// bit-flipped frame, or sequence gap never fails the scan, it just
-// bounds what that segment contributes (and bumps Truncated). A non-nil
-// error from fn aborts the scan and is returned; IO errors reading the
-// directory are returned as-is.
+// bit-flipped or undecodable frame, or sequence gap never fails the
+// scan, it just bounds what that segment contributes (and bumps
+// Truncated). A non-nil error from fn aborts the scan and is returned;
+// IO errors reading the directory are returned as-is.
 func Scan(dir string, fn func(Record) error) (ScanStats, error) {
-	var stats ScanStats
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return stats, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == segmentExt {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		stats.Segments++
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return stats, err
-		}
-		n, ok, ferr := scanBytes(raw, func(rec Record) error {
-			stats.Records++
-			return fn(rec)
-		})
-		if ferr != nil {
-			return stats, ferr
-		}
-		if !ok || n != int64(len(raw)) {
-			stats.Truncated++
-		}
-	}
-	return stats, nil
-}
-
-// scanBytes decodes the longest valid prefix of one segment's bytes,
-// calling fn per record. ok is false when the magic itself is invalid.
-// Only an fn error is returned; framing damage just ends the prefix.
-func scanBytes(raw []byte, fn func(Record) error) (validLen int64, ok bool, err error) {
-	if len(raw) < len(segmentMagic) || string(raw[:len(segmentMagic)]) != segmentMagic {
-		return 0, false, nil
-	}
-	off := int64(len(segmentMagic))
-	for {
-		rest := raw[off:]
-		if len(rest) == 0 {
-			return off, true, nil
-		}
-		if len(rest) < recordHeaderLen {
-			return off, true, nil
-		}
-		plen := binary.LittleEndian.Uint32(rest[0:])
-		want := binary.LittleEndian.Uint32(rest[4:])
-		if plen > maxRecordLen || uint32(len(rest)-recordHeaderLen) < plen {
-			return off, true, nil
-		}
-		payload := rest[recordHeaderLen : recordHeaderLen+int(plen)]
-		if crc32.Checksum(payload, castagnoli) != want {
-			return off, true, nil
-		}
-		rec, _, derr := decodeRecord(rest)
-		if derr != nil {
-			return off, true, nil
-		}
-		if err := fn(rec); err != nil {
-			return off, true, err
-		}
-		off += recordHeaderLen + int64(plen)
-	}
+	return durable.Scan(dir, &format, decode, fn)
 }
 
 // ReadAll scans dir and returns every decodable record in append order

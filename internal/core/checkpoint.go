@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 
 	"wym/internal/data"
+	"wym/internal/durable"
 	"wym/internal/embed"
 	"wym/internal/relevance"
 )
@@ -94,7 +95,7 @@ func (ck *checkpointer) path(st Stage) string {
 }
 
 // save gob-encodes the payload, wraps it in a verified envelope, and
-// writes it atomically and durably (writeFileAtomic) so a crash mid-write
+// writes it atomically and durably (durable.WriteFile) so a crash mid-write
 // never leaves a half-checkpoint behind. A new checkpoint is readable by
 // its owner only: it holds both splits' records. A nil checkpointer is a
 // no-op, which lets Train call save unconditionally.
@@ -119,7 +120,7 @@ func (ck *checkpointer) save(st Stage, payload any) error {
 	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
 		return fmt.Errorf("core: encoding %s checkpoint envelope: %w", st, err)
 	}
-	err := writeFileAtomic(ck.path(st), 0o600, func(w io.Writer) error {
+	err := durable.WriteFile(ck.path(st), 0o600, func(w io.Writer) error {
 		_, err := w.Write(buf.Bytes())
 		return err
 	})

@@ -2,17 +2,14 @@ package core
 
 import (
 	"encoding/gob"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
-	"math/rand"
 	"os"
-	"path/filepath"
 
 	"wym/internal/arena"
 	"wym/internal/classify"
 	"wym/internal/data"
+	"wym/internal/durable"
 	"wym/internal/embed"
 	"wym/internal/features"
 	"wym/internal/feedback"
@@ -199,75 +196,9 @@ func checkScorerDim(sc relevance.Scorer, src embed.Source) error {
 
 // SaveFile saves the system to a file, atomically and durably: a crash
 // or a failed save leaves either the old file or the complete new one
-// (writeFileAtomic), so it is safe to point at the model being served.
+// (durable.WriteFile), so it is safe to point at the model being served.
 func (s *System) SaveFile(path string) error {
-	return writeFileAtomic(path, 0o666, s.Save)
-}
-
-// writeFileAtomic writes path through write so that a crash at any point
-// leaves the old file or the whole new one, never a torn mix: write fills
-// a temp file in the same directory, which is fsync'd and renamed over
-// path, and then the directory is fsync'd so the rename survives power
-// loss. An existing file keeps its permissions; a new one gets perm less
-// the umask, as os.OpenFile gives it. On error the temp file is removed
-// and path is untouched.
-func writeFileAtomic(path string, perm os.FileMode, write func(io.Writer) error) error {
-	dir := filepath.Dir(path)
-	tmp, err := createTemp(dir, filepath.Base(path), perm)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if st, err := os.Stat(path); err == nil {
-		if err := tmp.Chmod(st.Mode().Perm()); err != nil {
-			return fail(fmt.Errorf("core: %w", err))
-		}
-	}
-	if err := write(tmp); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	if err := tmp.Close(); err != nil {
-		return fail(fmt.Errorf("core: %w", err))
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return nil
-}
-
-// createTemp creates a new hidden file in dir named after base, with
-// perm less the umask; os.CreateTemp would always make it 0600.
-func createTemp(dir, base string, perm os.FileMode) (*os.File, error) {
-	for try := 0; ; try++ {
-		name := filepath.Join(dir, fmt.Sprintf(".%s.tmp%d", base, rand.Uint32()))
-		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, perm)
-		if errors.Is(err, fs.ErrExist) && try < 100 {
-			continue
-		}
-		return f, err
-	}
-}
-
-// syncDir fsyncs a directory, making the entries created or renamed in it
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return durable.WriteFile(path, 0o666, s.Save)
 }
 
 // LoadFile restores a system from a file, auto-detecting the format:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"wym/internal/arena"
+	"wym/internal/durable"
 	"wym/internal/nn"
 	"wym/internal/relevance"
 )
@@ -123,7 +124,7 @@ func TestSaveFileAtomic(t *testing.T) {
 	unchanged()
 
 	errDisk := errors.New("disk full")
-	err := writeFileAtomic(path, 0o666, func(w io.Writer) error {
+	err := durable.WriteFile(path, 0o666, func(w io.Writer) error {
 		if _, err := w.Write([]byte("half an art")); err != nil {
 			return err
 		}
@@ -136,7 +137,7 @@ func TestSaveFileAtomic(t *testing.T) {
 
 	write := func(p string, data string) {
 		t.Helper()
-		if err := writeFileAtomic(p, 0o666, func(w io.Writer) error {
+		if err := durable.WriteFile(p, 0o666, func(w io.Writer) error {
 			_, err := io.WriteString(w, data)
 			return err
 		}); err != nil {

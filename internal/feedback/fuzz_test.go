@@ -26,7 +26,7 @@ func FuzzFeedbackJournal(f *testing.F) {
 		}
 		dir := t.TempDir()
 		const segLimit = 256 // tiny segments so rotation is exercised
-		j, replayed, err := OpenLimit(dir, segLimit)
+		j, replayed, err := openLimit(dir, segLimit)
 		if err != nil {
 			t.Fatalf("initial open: %v", err)
 		}
@@ -49,7 +49,7 @@ func FuzzFeedbackJournal(f *testing.F) {
 		reopen := func(op string) {
 			j.Close()
 			var got []Label
-			j, got, err = OpenLimit(dir, segLimit)
+			j, got, err = openLimit(dir, segLimit)
 			if err != nil {
 				t.Fatalf("%s: reopen: %v", op, err)
 			}
@@ -90,7 +90,7 @@ func FuzzFeedbackJournal(f *testing.F) {
 		}
 
 		newestSegment := func() string {
-			segs, _ := filepath.Glob(filepath.Join(dir, "*"+segmentExt))
+			segs, _ := filepath.Glob(filepath.Join(dir, "*"+format.Ext))
 			sort.Strings(segs)
 			if len(segs) == 0 {
 				return ""
@@ -144,7 +144,7 @@ func FuzzFeedbackJournal(f *testing.F) {
 					t.Fatal(err)
 				}
 				n := int(next())%8 + 1
-				for i := 0; i < n && len(raw) > len(segmentMagic); i++ {
+				for i := 0; i < n && len(raw) > len(format.Magic); i++ {
 					raw[len(raw)-1-i%len(raw)] ^= next() | 1
 				}
 				j.Close()
@@ -156,11 +156,11 @@ func FuzzFeedbackJournal(f *testing.F) {
 				// unless the flipped bytes landed before the final record —
 				// arbitrary flips can hit earlier records in this segment, so
 				// a clean ErrCorrupt is acceptable; a panic is not.
-				j2, _, err := OpenLimit(dir, segLimit)
+				j2, _, err := openLimit(dir, segLimit)
 				if err != nil {
 					// Damaged beyond repair: reset the world and carry on.
 					os.RemoveAll(dir)
-					j2, _, err = OpenLimit(dir, segLimit)
+					j2, _, err = openLimit(dir, segLimit)
 					if err != nil {
 						t.Fatalf("reset open: %v", err)
 					}

@@ -2,63 +2,39 @@ package feedback
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
+
+	"wym/internal/durable"
 )
 
-// Journal layout: a directory of numbered segments (000000.wymfbk,
-// 000001.wymfbk, …). Each segment starts with an 8-byte magic and holds
-// length-prefixed, CRC-32C-checked records; each record is one appended
-// label batch, gob-encoded with a fresh encoder so records are
-// independently decodable. Append writes the record and fsyncs before
-// returning — a returned nil error means the batch survives power loss.
-//
-// Crash model: a crash can tear only the record being written, which is
-// always at the tail of the newest segment. Open repairs that by
-// truncating the last segment back to its last whole record. A CRC or
-// framing error anywhere else is real corruption and fails the open.
-
-const (
-	segmentMagic = "WYMFBK1\n"
-	segmentExt   = ".wymfbk"
-
-	// recordHeaderLen is the framing overhead per record:
-	// u32le payload length + u32le CRC-32C of the payload.
-	recordHeaderLen = 8
-
-	// maxRecordLen bounds a single record so a corrupt length prefix
-	// cannot drive a multi-GiB allocation during replay.
-	maxRecordLen = 64 << 20
-
-	// DefaultSegmentBytes rotates segments at 8 MiB — small enough that
-	// tail-repair scans stay cheap, large enough that rotation is rare.
-	DefaultSegmentBytes = 8 << 20
-)
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// The journal is a WYMFBK1 segment log (internal/durable): a directory
+// of numbered .wymfbk segments whose records are label batches, each
+// gob-encoded with a fresh encoder so records are independently
+// decodable. Append fsyncs before returning — a returned nil error means
+// the batch survives power loss. Open repairs a crash-torn tail of the
+// newest segment; damage anywhere else fails the open with ErrCorrupt.
+// The log never prunes, so it starts at segment 000000.
 
 // ErrCorrupt marks journal damage that tail-truncation cannot repair:
-// a bad magic, or a CRC/framing failure before the final record of the
-// final segment.
+// a bad magic, a segment sequence gap, or a CRC, framing or decoding
+// failure before the final record of the final segment.
 var ErrCorrupt = errors.New("feedback: journal corrupt")
+
+var format = durable.Format{
+	Magic:      "WYMFBK1\n",
+	Ext:        ".wymfbk",
+	MaxRecord:  64 << 20,
+	ErrCorrupt: ErrCorrupt,
+}
 
 // Journal is an append-only label log. It is not safe for concurrent
 // Append; callers serialize writes (the server holds its feedback mutex).
 type Journal struct {
-	dir          string
-	f            *os.File // newest segment, append position at EOF
-	seg          int      // index of the newest segment
-	segBytes     int64    // bytes written to the newest segment
-	segmentLimit int64
-	all          []Label // every label, replayed plus appended, in order
-	records      int
+	log     *durable.Log
+	all     []Label // every label, replayed plus appended, in order
+	records int
 }
 
 // Open opens (creating if needed) the journal in dir, replays every
@@ -66,60 +42,29 @@ type Journal struct {
 // in append order. Batches interrupted mid-write by a crash are dropped;
 // everything acknowledged by a completed Append is returned.
 func Open(dir string) (*Journal, []Label, error) {
-	return OpenLimit(dir, DefaultSegmentBytes)
+	return openLimit(dir, 0)
 }
 
-// OpenLimit is Open with an explicit segment rotation threshold
-// (exported for tests that want many small segments).
-func OpenLimit(dir string, segmentLimit int64) (*Journal, []Label, error) {
-	if segmentLimit < int64(len(segmentMagic))+recordHeaderLen {
-		return nil, nil, fmt.Errorf("feedback: segment limit %d too small", segmentLimit)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	segs, err := listSegments(dir)
+// openLimit is Open with an explicit segment rotation threshold (0 for
+// the default), for tests that want many small segments.
+func openLimit(dir string, segmentBytes int64) (*Journal, []Label, error) {
+	j := &Journal{}
+	log, err := durable.Open(dir, &format, durable.Options{SegmentBytes: segmentBytes}, func(payload []byte) error {
+		var batch []Label
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&batch); err != nil {
+			return err
+		}
+		if len(batch) == 0 {
+			return errors.New("empty record")
+		}
+		j.all = append(j.all, batch...)
+		j.records++
+		return nil
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-
-	j := &Journal{dir: dir, segmentLimit: segmentLimit}
-	for i, seg := range segs {
-		last := i == len(segs)-1
-		labels, validLen, err := replaySegment(segmentPath(dir, seg), last)
-		if err != nil {
-			return nil, nil, err
-		}
-		if last {
-			// Repair a torn tail by truncating to the last whole record.
-			// The truncation is fsync'd through the same handle that
-			// subsequent Appends use: if it were left buffered, a second
-			// crash could resurrect the torn bytes under records appended
-			// at the repaired length.
-			f, err := os.OpenFile(segmentPath(dir, seg), os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := f.Truncate(validLen); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			j.f, j.seg, j.segBytes = f, seg, validLen
-		}
-		for _, batch := range labels {
-			j.all = append(j.all, batch...)
-			j.records++
-		}
-	}
-	if len(segs) == 0 {
-		if err := j.startSegment(0); err != nil {
-			return nil, nil, err
-		}
-	}
+	j.log = log
 	return j, j.All(), nil
 }
 
@@ -128,9 +73,6 @@ func OpenLimit(dir string, segmentLimit int64) (*Journal, []Label, error) {
 // an empty record would be indistinguishable from a no-op on replay
 // counting, and callers never mean it.
 func (j *Journal) Append(batch []Label) error {
-	if j.f == nil {
-		return errors.New("feedback: journal closed")
-	}
 	if len(batch) == 0 {
 		return errors.New("feedback: empty label batch")
 	}
@@ -138,29 +80,9 @@ func (j *Journal) Append(batch []Label) error {
 	if err := gob.NewEncoder(&payload).Encode(batch); err != nil {
 		return err
 	}
-	if payload.Len() > maxRecordLen {
-		return fmt.Errorf("feedback: batch of %d labels encodes to %d bytes (limit %d)",
-			len(batch), payload.Len(), maxRecordLen)
+	if err := j.log.Append(payload.Bytes()); err != nil {
+		return fmt.Errorf("feedback: journaling a batch of %d labels: %w", len(batch), err)
 	}
-	if j.segBytes+recordHeaderLen+int64(payload.Len()) > j.segmentLimit &&
-		j.segBytes > int64(len(segmentMagic)) {
-		if err := j.rotate(); err != nil {
-			return err
-		}
-	}
-	var hdr [recordHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload.Bytes(), castagnoli))
-	if _, err := j.f.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := j.f.Write(payload.Bytes()); err != nil {
-		return err
-	}
-	if err := j.f.Sync(); err != nil {
-		return err
-	}
-	j.segBytes += recordHeaderLen + int64(payload.Len())
 	j.records++
 	j.all = append(j.all, batch...)
 	return nil
@@ -179,171 +101,8 @@ func (j *Journal) All() []Label { return append([]Label(nil), j.all...) }
 func (j *Journal) Records() int { return j.records }
 
 // Dir returns the journal directory.
-func (j *Journal) Dir() string { return j.dir }
+func (j *Journal) Dir() string { return j.log.Dir() }
 
 // Close releases the segment handle. Appended batches are already
 // durable; Close exists for tidy shutdown, not for flushing.
-func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
-func (j *Journal) rotate() error {
-	if err := j.f.Close(); err != nil {
-		return err
-	}
-	return j.startSegment(j.seg + 1)
-}
-
-func (j *Journal) startSegment(seg int) error {
-	f, err := os.OpenFile(segmentPath(j.dir, seg), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write([]byte(segmentMagic)); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := syncDir(j.dir); err != nil {
-		f.Close()
-		return err
-	}
-	j.f, j.seg, j.segBytes = f, seg, int64(len(segmentMagic))
-	return nil
-}
-
-// syncDir fsyncs the directory so a freshly created segment file's
-// directory entry is durable too.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-func segmentPath(dir string, seg int) string {
-	return filepath.Join(dir, fmt.Sprintf("%06d%s", seg, segmentExt))
-}
-
-func listSegments(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var segs []int
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != segmentExt {
-			continue
-		}
-		var n int
-		if _, err := fmt.Sscanf(name, "%06d"+segmentExt, &n); err != nil {
-			return nil, fmt.Errorf("%w: unrecognized segment name %q", ErrCorrupt, name)
-		}
-		segs = append(segs, n)
-	}
-	sort.Ints(segs)
-	for i, n := range segs {
-		if n != i {
-			return nil, fmt.Errorf("%w: segment sequence gap (have %06d, want %06d)", ErrCorrupt, n, i)
-		}
-	}
-	return segs, nil
-}
-
-// replaySegment decodes every record of one segment. For the final
-// segment (repairTail) a torn or corrupt tail record is dropped and
-// validLen reports where the segment should be truncated; for earlier
-// segments any damage is ErrCorrupt.
-func replaySegment(path string, repairTail bool) (batches [][]Label, validLen int64, err error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(raw) < len(segmentMagic) || string(raw[:len(segmentMagic)]) != segmentMagic {
-		if repairTail && len(raw) < len(segmentMagic) && bytes.HasPrefix([]byte(segmentMagic), raw) {
-			// Crash during segment creation: a partial magic is a torn
-			// tail too. Treat as an empty segment.
-			n, rerr := repairEmptyMagic(path)
-			return nil, n, rerr
-		}
-		return nil, 0, fmt.Errorf("%w: %s: bad magic", ErrCorrupt, filepath.Base(path))
-	}
-	off := int64(len(segmentMagic))
-	data := raw
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return batches, off, nil
-		}
-		batch, n, rerr := decodeRecord(rest)
-		if rerr != nil {
-			if repairTail {
-				// Torn tail: keep everything before it.
-				return batches, off, nil
-			}
-			return nil, 0, fmt.Errorf("%w: %s at offset %d: %v", ErrCorrupt, filepath.Base(path), off, rerr)
-		}
-		batches = append(batches, batch)
-		off += n
-	}
-}
-
-// repairEmptyMagic rewrites a segment whose magic itself was torn by a
-// crash during creation: the file becomes a valid empty segment. The
-// rewrite is fsync'd so a crash right after repair cannot leave the
-// partial magic on disk again.
-func repairEmptyMagic(path string) (int64, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	if _, err := f.Write([]byte(segmentMagic)); err != nil {
-		return 0, err
-	}
-	if err := f.Sync(); err != nil {
-		return 0, err
-	}
-	return int64(len(segmentMagic)), nil
-}
-
-// decodeRecord parses one framed record from the front of b, returning
-// the batch and the bytes consumed. Any shortfall, CRC mismatch, or gob
-// failure is an error (the caller decides whether it is a repairable
-// tail).
-func decodeRecord(b []byte) ([]Label, int64, error) {
-	if len(b) < recordHeaderLen {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	plen := binary.LittleEndian.Uint32(b[0:])
-	want := binary.LittleEndian.Uint32(b[4:])
-	if plen > maxRecordLen {
-		return nil, 0, fmt.Errorf("record length %d exceeds limit", plen)
-	}
-	if uint32(len(b)-recordHeaderLen) < plen {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	payload := b[recordHeaderLen : recordHeaderLen+int(plen)]
-	if crc32.Checksum(payload, castagnoli) != want {
-		return nil, 0, errors.New("crc mismatch")
-	}
-	var batch []Label
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&batch); err != nil {
-		return nil, 0, err
-	}
-	if len(batch) == 0 {
-		return nil, 0, errors.New("empty record")
-	}
-	return batch, recordHeaderLen + int64(plen), nil
-}
+func (j *Journal) Close() error { return j.log.Close() }

@@ -68,7 +68,7 @@ func TestJournalRejectsEmptyBatch(t *testing.T) {
 func TestJournalRotationAndReplayAcrossSegments(t *testing.T) {
 	dir := t.TempDir()
 	// Tiny segment limit: every batch forces a rotation.
-	j, _, err := OpenLimit(dir, 64)
+	j, _, err := openLimit(dir, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestJournalRotationAndReplayAcrossSegments(t *testing.T) {
 	}
 	j.Close()
 
-	segs, _ := filepath.Glob(filepath.Join(dir, "*"+segmentExt))
+	segs, _ := filepath.Glob(filepath.Join(dir, "*"+format.Ext))
 	if len(segs) < 2 {
 		t.Fatalf("expected rotation, got %d segments", len(segs))
 	}
@@ -99,15 +99,22 @@ func TestJournalRotationAndReplayAcrossSegments(t *testing.T) {
 func TestJournalTornTailRepaired(t *testing.T) {
 	// Measure the segment offsets once on a throwaway journal.
 	probe := t.TempDir()
+	segBytes := func() int64 {
+		st, err := os.Stat(format.SegmentPath(probe, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
 	j, _ := mustOpen(t, probe)
 	if err := j.Append([]Label{lbl("a", "b", true)}); err != nil {
 		t.Fatal(err)
 	}
-	durable := j.segBytes
+	durable := segBytes()
 	if err := j.Append([]Label{lbl("c", "d", false), lbl("e", "f", true)}); err != nil {
 		t.Fatal(err)
 	}
-	full := j.segBytes
+	full := segBytes()
 	j.Close()
 
 	for cut := durable + 1; cut < full; cut += 3 {
@@ -117,7 +124,7 @@ func TestJournalTornTailRepaired(t *testing.T) {
 		jw.Append([]Label{lbl("c", "d", false), lbl("e", "f", true)})
 		jw.Close()
 
-		seg := segmentPath(dir, 0)
+		seg := format.SegmentPath(dir, 0)
 		raw, err := os.ReadFile(seg)
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +156,7 @@ func TestJournalTornTailRepaired(t *testing.T) {
 
 func TestJournalCorruptionInEarlierSegmentFails(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenLimit(dir, 64)
+	j, _, err := openLimit(dir, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +167,7 @@ func TestJournalCorruptionInEarlierSegmentFails(t *testing.T) {
 	}
 	j.Close()
 	// Flip a payload byte in the first segment (not the last).
-	seg := segmentPath(dir, 0)
+	seg := format.SegmentPath(dir, 0)
 	raw, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +183,7 @@ func TestJournalCorruptionInEarlierSegmentFails(t *testing.T) {
 
 func TestJournalBadMagicFails(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(segmentPath(dir, 0), []byte("NOTMAGIC and then some"), 0o644); err != nil {
+	if err := os.WriteFile(format.SegmentPath(dir, 0), []byte("NOTMAGIC and then some"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
@@ -187,7 +194,7 @@ func TestJournalBadMagicFails(t *testing.T) {
 func TestJournalTornMagicRepaired(t *testing.T) {
 	dir := t.TempDir()
 	// Crash during segment creation: only half the magic landed.
-	if err := os.WriteFile(segmentPath(dir, 0), []byte(segmentMagic[:3]), 0o644); err != nil {
+	if err := os.WriteFile(format.SegmentPath(dir, 0), []byte(format.Magic[:3]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	j, labels, err := Open(dir)
@@ -205,7 +212,7 @@ func TestJournalTornMagicRepaired(t *testing.T) {
 
 func TestJournalSegmentGapFails(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(segmentPath(dir, 1), []byte(segmentMagic), 0o644); err != nil {
+	if err := os.WriteFile(format.SegmentPath(dir, 1), []byte(format.Magic), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(dir); !errors.Is(err, ErrCorrupt) {

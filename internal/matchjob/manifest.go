@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 
 	"wym/internal/data"
+	"wym/internal/durable"
 )
 
 const (
@@ -40,9 +41,9 @@ type chunkRecord struct {
 }
 
 // manifest is the WYMJOB job state, serialized as JSON and rewritten
-// atomically after every chunk. A kill at any point leaves either the
-// previous manifest or the new one — never a torn file — so at most one
-// chunk of work is lost.
+// atomically and durably after every chunk. A kill or a power loss at
+// any point leaves either the previous manifest or the new one — never
+// a torn file — so at most one chunk of work is lost.
 type manifest struct {
 	Magic   string `json:"magic"`
 	Version int    `json:"version"`
@@ -85,28 +86,19 @@ func segmentPath(dir string, id int) string {
 	return filepath.Join(dir, fmt.Sprintf("chunk-%06d.csv", id))
 }
 
-// writeManifest atomically replaces the manifest (temp file + rename).
+// writeManifest replaces the manifest atomically and durably
+// (durable.WriteFile).
 func writeManifest(dir string, m *manifest) error {
 	buf, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return fmt.Errorf("matchjob: encoding manifest: %w", err)
 	}
 	buf = append(buf, '\n')
-	tmp, err := os.CreateTemp(dir, ".job.json.tmp*")
+	err = durable.WriteFile(manifestPath(dir), 0o600, func(w io.Writer) error {
+		_, err := w.Write(buf)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("matchjob: writing manifest: %w", err)
-	}
-	if _, err := tmp.Write(buf); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("matchjob: writing manifest: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("matchjob: writing manifest: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), manifestPath(dir)); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("matchjob: writing manifest: %w", err)
 	}
 	return nil

@@ -1,7 +1,8 @@
 // Package matchjob runs full-table entity matching as a crash-safe batch
 // job: blocking + batch prediction over the left table in fixed-size
 // chunks, each chunk's results written to its own segment file and
-// recorded in an atomically-updated WYMJOB manifest. A kill at any point
+// recorded in a WYMJOB manifest; every file the job writes is replaced
+// atomically and fsync'd (internal/durable). A kill at any point
 // loses at most the in-flight chunk; -resume verifies the manifest's
 // fingerprints and each segment's SHA-256, then continues after the last
 // valid chunk. Because the blocking stream emits a budget-independent,
@@ -13,16 +14,18 @@ package matchjob
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
 	"wym/internal/audit"
 	"wym/internal/blocking"
 	"wym/internal/data"
+	"wym/internal/durable"
 	"wym/internal/pipeline"
 )
 
@@ -80,9 +83,10 @@ type Config struct {
 	Metrics *Metrics
 	// Audit, when non-nil, records every emitted decision with its
 	// decision-unit explanation. Records for a chunk are appended only
-	// after that chunk's manifest entry commits, so a resumed job never
-	// double-records a replayed chunk (at-most-once: a crash between the
-	// manifest write and the audit flush loses that chunk's records).
+	// after that chunk's manifest entry is durable, so a resumed job
+	// never double-records a replayed chunk, even after a power loss
+	// (at-most-once: a crash between the manifest write and the audit
+	// flush loses that chunk's records).
 	// Requires the engine to implement Explainer.
 	Audit *audit.Log
 	// AuditMeta describes the model behind the audit records.
@@ -399,67 +403,43 @@ func quarantined(preds []pipeline.Prediction) bool {
 	return false
 }
 
-// writeSegment atomically writes one chunk's result rows and returns
-// their SHA-256 hex digest.
+// writeSegment writes one chunk's result rows atomically and durably
+// and returns their SHA-256 hex digest.
 func writeSegment(dir string, id int, payload []byte) (string, error) {
-	dst := segmentPath(dir, id)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(dst)+".tmp*")
+	err := durable.WriteFile(segmentPath(dir, id), 0o600, func(w io.Writer) error {
+		_, err := w.Write(payload)
+		return err
+	})
 	if err != nil {
 		return "", fmt.Errorf("matchjob: writing segment %d: %w", id, err)
 	}
-	if _, err := tmp.Write(payload); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("matchjob: writing segment %d: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("matchjob: writing segment %d: %w", id, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return "", fmt.Errorf("matchjob: writing segment %d: %w", id, err)
-	}
-	sum, err := fileSHA256(dst)
-	if err != nil {
-		return "", fmt.Errorf("matchjob: hashing segment %d: %w", id, err)
-	}
-	return sum, nil
+	sum := sha256.Sum256(payload)
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // merge concatenates all segments, in chunk order, under a header row and
-// atomically replaces the output file. Merging is idempotent: a kill
-// between merge and the final manifest write just re-merges on resume.
+// replaces the output file atomically and durably. Merging is idempotent:
+// a kill between merge and the final manifest write just re-merges on
+// resume.
 func (r *Runner) merge(man *manifest) error {
-	dir := filepath.Dir(r.cfg.Out)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(r.cfg.Out)+".tmp*")
+	err := durable.WriteFile(r.cfg.Out, 0o600, func(w io.Writer) error {
+		if _, err := io.WriteString(w, "left,right,label,proba\n"); err != nil {
+			return err
+		}
+		for _, c := range man.Chunks {
+			seg, err := os.Open(segmentPath(r.cfg.Dir, c.ID))
+			if err != nil {
+				return fmt.Errorf("merging chunk %d: %w", c.ID, err)
+			}
+			_, err = io.Copy(w, seg)
+			seg.Close()
+			if err != nil {
+				return fmt.Errorf("merging chunk %d: %w", c.ID, err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
-		return fmt.Errorf("matchjob: writing output: %w", err)
-	}
-	cleanup := func() { tmp.Close(); os.Remove(tmp.Name()) }
-	if _, err := tmp.WriteString("left,right,label,proba\n"); err != nil {
-		cleanup()
-		return fmt.Errorf("matchjob: writing output: %w", err)
-	}
-	for _, c := range man.Chunks {
-		seg, err := os.Open(segmentPath(r.cfg.Dir, c.ID))
-		if err != nil {
-			cleanup()
-			return fmt.Errorf("matchjob: merging chunk %d: %w", c.ID, err)
-		}
-		_, err = io.Copy(tmp, seg)
-		seg.Close()
-		if err != nil {
-			cleanup()
-			return fmt.Errorf("matchjob: merging chunk %d: %w", c.ID, err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("matchjob: writing output: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), r.cfg.Out); err != nil {
-		os.Remove(tmp.Name())
 		return fmt.Errorf("matchjob: writing output: %w", err)
 	}
 	return nil
