@@ -4,14 +4,14 @@ GO ?= go
 
 ## check: the pre-merge gate — formatting, vet (must be clean for every
 ## package, internal/serve included), build, the serving-layer race gate,
-## the fault-tolerant-training race gate, the model-format race gate, the
-## scorer exactness tests rebuilt for GOAMD64=v3, the fleet-routing chaos
-## gate, the crash-safe-matching race gate, the online-learning and
-## audit-trail crash gates (each also runs the whole shared storage
-## layer, internal/durable, that the journal and the audit log sit on),
-## a fuzz smoke pass over CSV ingest, arena parsing, blocking, the
-## feedback journal, and the audit log, full race-enabled tests, short
-## benchmarks, and the coverage ratchet.
+## the fault-tolerant-training and batch-executor race gate, the
+## model-format race gate, the scorer exactness tests rebuilt for
+## GOAMD64=v3, the fleet-routing chaos gate, the crash-safe-matching race
+## gate, the online-learning and audit-trail crash gates (each also runs
+## the whole shared storage layer, internal/durable, that the journal and
+## the audit log sit on), a fuzz smoke pass over CSV ingest, arena
+## parsing, blocking, the feedback journal, and the audit log, full
+## race-enabled tests, short benchmarks, and the coverage ratchet.
 check: fmt-check vet build serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke race bench cover
 
 build:
@@ -41,11 +41,15 @@ serve-race:
 ## train-race: the fault-tolerant-training suite under the race detector —
 ## cancellation at every stage boundary, checkpoint resume (byte-identical
 ## golden predictions), checkpoint integrity rejection, per-record worker
-## panic quarantine, and the CLI's checkpoint/resume/lenient-ingest paths.
+## panic quarantine, and the CLI's run paths (checkpoint/resume,
+## lenient ingest) — plus the engine's batch executor: each index run
+## once and in order, no goroutine left behind after a normal, panicking
+## or canceled run, mid-run cancellation, and the re-raised panic of
+## ProcessAll and PredictAll.
 train-race:
 	$(GO) test -race -timeout 20m \
-		-run 'TestResume|TestTrainCancellation|TestTrainQuarantines|TestProcessAllContext|TestCheckpoint|TestRunCheckpoint|TestRunCanceled|TestRunLenient' \
-		./internal/core ./cmd/wym
+		-run 'TestResume|TestTrainCancellation|TestTrainQuarantines|TestCheckpoint|TestRun|TestProcessAll|TestPredictAll|TestPredictBatch' \
+		./internal/core ./cmd/wym ./internal/pipeline
 
 ## model-race: the zero-copy model-format suite under the race detector —
 ## concurrent arena mmap hot reload vs batch prediction (use-after-munmap
@@ -88,7 +92,9 @@ match-race:
 		./cmd/wym ./internal/matchjob
 
 ## label-race: the online-learning suite under the race detector — the
-## ApplyFeedback order-invariance goldens, the active-labeling quality
+## ApplyFeedback order-invariance goldens, the calibration sweep (sorted
+## against the quadratic reference, bit for bit) and its parallel
+## re-predict, the active-labeling quality
 ## gate, the serving feedback endpoints (apply + journal + atomic swap
 ## vs concurrent predict load), startup journal replay, the SIGKILL
 ## crash e2e (fingerprint-identical replay after an unclean death), and

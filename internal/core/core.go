@@ -117,9 +117,9 @@ type System struct {
 	tracer *obs.Tracer
 	spans  []obs.Span
 
-	// processHook, when non-nil, runs before unit generation inside the
-	// quarantine wrapper of ProcessAllContext; the fault-tolerance tests
-	// inject per-record panics with it.
+	// processHook, when non-nil, runs before every unit generation of the
+	// system's engine; the fault-tolerance tests inject per-record panics
+	// with it.
 	processHook func(data.Pair)
 
 	// format and arena record the on-disk representation an arena-backed
@@ -254,8 +254,8 @@ type TrainOptions struct {
 	// just lets callers render them live, e.g. `wym train -v`.
 	Tracer *obs.Tracer
 
-	// processHook is the fault-injection seam for the in-package tests: it
-	// runs inside the per-record quarantine wrapper before each Process.
+	// processHook is the fault-injection seam for the in-package tests:
+	// the trained system's generator runs it before each record.
 	processHook func(data.Pair)
 }
 
@@ -376,9 +376,9 @@ func TrainWithOptions(ctx context.Context, train, valid *data.Dataset, cfg Confi
 	done(StageEmbeddings, start, resumed)
 
 	// Stage 2: decision units for every training and validation record,
-	// generated through the pipeline's quarantining batch runner. Worker
-	// panics quarantine the offending pair (nil entry + report row)
-	// instead of crashing the run.
+	// generated through the engine's ProcessAllContext. Worker panics
+	// quarantine the offending pair (nil entry + report row) instead of
+	// crashing the run.
 	if err := ctx.Err(); err != nil {
 		return nil, report, stageErr(StageUnits, err)
 	}
@@ -391,15 +391,14 @@ func TrainWithOptions(ctx context.Context, train, valid *data.Dataset, cfg Confi
 		}
 	}
 	if !resumed {
-		batch := pipeline.BatchOptions{Hook: s.processHook}
 		doneTrain := tr.Start("units/train")
-		trainBatch, qt, err := pipeline.ProcessAllContext(ctx, s.engine.Generator(), train, batch)
+		trainBatch, qt, err := s.engine.ProcessAllContext(ctx, train)
 		if err != nil {
 			return nil, report, stageErr(StageUnits, err)
 		}
 		doneTrain()
 		doneValid := tr.Start("units/valid")
-		validBatch, qv, err := pipeline.ProcessAllContext(ctx, s.engine.Generator(), valid, batch)
+		validBatch, qv, err := s.engine.ProcessAllContext(ctx, valid)
 		if err != nil {
 			return nil, report, stageErr(StageUnits, err)
 		}
@@ -611,8 +610,14 @@ type wymGenerator struct {
 	s *System
 }
 
-// Generate implements pipeline.UnitGenerator.
-func (g wymGenerator) Generate(p data.Pair) *pipeline.Record { return g.s.generate(p) }
+// Generate implements pipeline.UnitGenerator, running the system's
+// processHook first when one is set.
+func (g wymGenerator) Generate(p data.Pair) *pipeline.Record {
+	if g.s.processHook != nil {
+		g.s.processHook(p)
+	}
+	return g.s.generate(p)
+}
 
 // generate runs tokenization, contextual embedding and Algorithm 1 on one
 // record pair.
@@ -666,8 +671,7 @@ func (s *System) ProcessAll(d *data.Dataset) []*pipeline.Record {
 // Cancellation stops the workers at the next record; the partial results
 // are discarded and the context error returned.
 func (s *System) ProcessAllContext(ctx context.Context, d *data.Dataset) ([]*pipeline.Record, []RecordError, error) {
-	return pipeline.ProcessAllContext(ctx, s.engine.Generator(), d,
-		pipeline.BatchOptions{Hook: s.processHook})
+	return s.engine.ProcessAllContext(ctx, d)
 }
 
 // wymMatcher is the paper's explainable matcher as a pipeline.Matcher:
@@ -715,16 +719,9 @@ func (m wymMatcher) ExplainRecord(rec *pipeline.Record, scores []float64) Explan
 	return ex
 }
 
-func (s *System) featurizeAll(recs []*pipeline.Record) [][]float64 {
-	out := make([][]float64, len(recs))
-	for i, rec := range recs {
-		out[i] = s.space.Vector(rec.Units, s.scorer.Score(rec.Rel()))
-	}
-	return out
-}
-
 // featurizeLabeled featurizes the non-quarantined records of a split,
-// returning the feature matrix and the aligned label vector.
+// returning the feature matrix and the aligned label vector. Featurize
+// calls it on ProcessAll's records, of which none is quarantined.
 func (s *System) featurizeLabeled(recs []*relevance.Record, d *data.Dataset) (x [][]float64, y []int) {
 	x = make([][]float64, 0, len(recs))
 	y = make([]int, 0, len(recs))
@@ -833,7 +830,8 @@ func NewUnitGenerator(d *data.Dataset, cfg Config) *System {
 // Featurize processes a dataset and returns the engineered feature matrix
 // the matcher consumes; Table 5 fits the whole classifier pool on it.
 func (s *System) Featurize(d *data.Dataset) [][]float64 {
-	return s.featurizeAll(s.ProcessAll(d))
+	x, _ := s.featurizeLabeled(relevanceRecords(s.ProcessAll(d)), d)
+	return x
 }
 
 // AttributeImpact aggregates an explanation's impacts per schema

@@ -86,7 +86,9 @@ func (s *System) ApplyFeedback(ctx context.Context, labels []feedback.Label) (*S
 	// probas, so building the engine before calibrating is sound).
 	ns.fbThreshold = 0
 	ns.rebuildEngine()
-	ns.fbThreshold = calibrateThreshold(&ns, ns.fbLabels)
+	if ns.fbThreshold, err = calibrateThreshold(ctx, &ns, ns.fbLabels); err != nil {
+		return nil, err
+	}
 	ns.rebuildEngine()
 	return &ns, nil
 }
@@ -137,39 +139,64 @@ func labelKey(lb feedback.Label) string {
 }
 
 // calibrateThreshold scores every accumulated label through the updated
-// system and returns the cutoff maximizing F1 over them. Candidates are
-// the observed probas plus the 0.5 default; ties prefer the candidate
+// system's Engine.PredictBatch, so the labels are predicted on every
+// core, and returns bestThreshold over them. A canceled ctx returns its
+// error; a label whose predict panics re-raises the panic here.
+func calibrateThreshold(ctx context.Context, s *System, labels []feedback.Label) (float64, error) {
+	pairs := make([]data.Pair, len(labels))
+	match := make([]bool, len(labels))
+	for i, lb := range labels {
+		pairs[i] = data.Pair{Left: lb.Left, Right: lb.Right}
+		match[i] = lb.Match
+	}
+	preds := s.engine.PredictBatch(ctx, pairs)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	probas := make([]float64, len(preds))
+	for i, pred := range preds {
+		if pred.Err != "" {
+			panic(fmt.Sprintf("core: feedback label %d: %s", i, pred.Err))
+		}
+		probas[i] = pred.Proba
+	}
+	return bestThreshold(probas, match), nil
+}
+
+// bestThreshold returns the cutoff maximizing F1 over labels with the
+// given probas and match flags. Candidates are the observed probas plus
+// the 0.5 default, visited in ascending order; ties prefer the candidate
 // closest to (then, exactly) 0.5, so feedback that carries no signal —
 // or no positive labels at all — leaves the default cutoff in place.
 // Non-positive probas are excluded as candidates, so the returned
 // threshold is always > 0 — fbThreshold == 0 therefore unambiguously
 // means "never calibrated" (DecisionThreshold and the persisted
-// FbThreshold/FeedbackThreshold fields rely on that invariant).
-func calibrateThreshold(s *System, labels []feedback.Label) float64 {
-	probas := make([]float64, len(labels))
-	for i, lb := range labels {
-		_, probas[i] = s.Predict(data.Pair{Left: lb.Left, Right: lb.Right})
-	}
+// FbThreshold/FeedbackThreshold fields rely on that invariant). Each
+// candidate's counts are two binary searches into the sorted probas of
+// each class, so the sweep is O(n log n).
+func bestThreshold(probas []float64, match []bool) float64 {
+	var pos, neg []float64
 	cands := make([]float64, 0, len(probas)+1)
-	for _, p := range probas {
+	for i, p := range probas {
+		if match[i] {
+			pos = append(pos, p)
+		} else {
+			neg = append(neg, p)
+		}
 		if p > 0 {
 			cands = append(cands, p)
 		}
 	}
 	cands = append(cands, 0.5)
 	sort.Float64s(cands)
+	sort.Float64s(pos)
+	sort.Float64s(neg)
+	// atLeast counts the probas of sorted ps that are >= t; a NaN sorts
+	// first and is never >= t, as in a direct count.
+	atLeast := func(ps []float64, t float64) int { return len(ps) - sort.SearchFloat64s(ps, t) }
 	f1At := func(t float64) float64 {
-		var tp, fp, fn int
-		for i, p := range probas {
-			switch {
-			case p >= t && labels[i].Match:
-				tp++
-			case p >= t:
-				fp++
-			case labels[i].Match:
-				fn++
-			}
-		}
+		tp, fp := atLeast(pos, t), atLeast(neg, t)
+		fn := len(pos) - tp
 		if 2*tp+fp+fn == 0 {
 			return 0
 		}

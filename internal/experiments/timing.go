@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"wym/internal/baselines"
@@ -44,6 +45,13 @@ func Section53(cfg RunConfig) ([]TimingRow, error) {
 			row.TrainThroughput = float64(sp.train.Size()+sp.valid.Size()) / row.TrainSeconds
 		}
 
+		ditto := baselines.NewDITTO(cfg.Seed)
+		start := time.Now()
+		if err := ditto.Train(sp.train, sp.valid); err != nil {
+			return nil, err
+		}
+		row.DITTOTrainSeconds = time.Since(start).Seconds()
+
 		sample := sampleTest(sp.test, cfg.sampleRecords(), cfg.Seed)
 		// One untimed pass first: the embedding cache memoizes a token on
 		// its first lookup, so whichever pass ran first would pay alone to
@@ -51,47 +59,53 @@ func Section53(cfg RunConfig) ([]TimingRow, error) {
 		for _, p := range sample.Pairs {
 			ts.sys.Predict(p)
 		}
-		row.PredictPerSecond = throughput(sample.Pairs, func(p data.Pair) { ts.sys.Predict(p) })
-		row.ExplainPerSecond = throughput(sample.Pairs, func(p data.Pair) { ts.sys.Explain(p) })
+		rates := throughputs(sample.Pairs,
+			func(p data.Pair) { ts.sys.Predict(p) },
+			func(p data.Pair) { ts.sys.Explain(p) },
+			func(p data.Pair) { ditto.Predict(p) })
+		row.PredictPerSecond, row.ExplainPerSecond, row.DITTOPredictPerSec = rates[0], rates[1], rates[2]
 		if row.ExplainPerSecond > 0 && row.PredictPerSecond > 0 {
 			// Explain runs the predict pipeline plus attribution; the extra
 			// attribution time over the shared pipeline is the explanation
 			// share of the full explain call.
 			row.ExplainShare = max(0, 1-row.ExplainPerSecond/row.PredictPerSecond)
 		}
-
-		ditto := baselines.NewDITTO(cfg.Seed)
-		start := time.Now()
-		if err := ditto.Train(sp.train, sp.valid); err != nil {
-			return nil, err
-		}
-		row.DITTOTrainSeconds = time.Since(start).Seconds()
-		row.DITTOPredictPerSec = throughput(sample.Pairs, func(p data.Pair) { ditto.Predict(p) })
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// minTimed is how long each throughput is measured: one pass over a
-// 60-record sample takes a few milliseconds, too short to time reliably
-// on a shared host.
+// minTimed is how long each throughput is measured at least: one pass
+// over a 60-record sample takes a few milliseconds, too short to time
+// reliably on a shared host.
 const minTimed = 500 * time.Millisecond
 
-// throughput runs fn over pairs in whole passes until minTimed has
-// elapsed and returns the records processed per second.
-func throughput(pairs []data.Pair, fn func(data.Pair)) float64 {
+// throughputs times every fn over pairs in rounds. Each round runs one
+// whole pass of each fn, rotating which one goes first, until every fn
+// has run for minTimed of its own time. It returns each fn's records per
+// second of its own summed time; interleaving the passes spreads host
+// drift over every column alike instead of landing it on one.
+func throughputs(pairs []data.Pair, fns ...func(data.Pair)) []float64 {
+	rates := make([]float64, len(fns))
 	if len(pairs) == 0 {
-		return 0
+		return rates
 	}
-	n := 0
-	start := time.Now()
-	for time.Since(start) < minTimed {
-		for _, p := range pairs {
-			fn(p)
+	spent := make([]time.Duration, len(fns))
+	rounds := 0
+	for ; slices.Min(spent) < minTimed; rounds++ {
+		for k := range fns {
+			j := (rounds + k) % len(fns)
+			start := time.Now()
+			for _, p := range pairs {
+				fns[j](p)
+			}
+			spent[j] += time.Since(start)
 		}
-		n += len(pairs)
 	}
-	return float64(n) / time.Since(start).Seconds()
+	for j := range fns {
+		rates[j] = float64(rounds*len(pairs)) / spent[j].Seconds()
+	}
+	return rates
 }
 
 // FormatSection53 renders the throughput table.

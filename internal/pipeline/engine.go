@@ -2,9 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"wym/internal/data"
@@ -12,9 +9,12 @@ import (
 
 // Engine composes one instantiation of the architecture template —
 // generator, scorer, matcher — and runs the process→score→match flow over
-// single pairs and batches. Batch methods fan records out over
-// GOMAXPROCS workers with a fully buffered job queue (the producer never
-// rendezvouses with a worker) and preserve input order in every result.
+// single pairs and batches. Every batch method runs on one executor
+// (run), which fans items out over min(GOMAXPROCS, n) workers and keeps
+// input order in every result. It has one fault rule: a panicking item
+// is recovered on its worker. ProcessAllContext and PredictBatch
+// quarantine it; ProcessAll and PredictAll, whose results have no slot
+// for an item's error, re-raise it on the calling goroutine.
 //
 // The scorer and matcher may be nil for generator-only engines (the
 // Figure 4 unit-distribution experiment); calling Predict or Explain on
@@ -38,9 +38,6 @@ func New(gen UnitGenerator, scorer RelevanceScorer, matcher Matcher) *Engine {
 	}
 	return &Engine{gen: gen, scorer: scorer, matcher: matcher}
 }
-
-// Generator returns the engine's unit generator.
-func (e *Engine) Generator() UnitGenerator { return e.gen }
 
 // Scorer returns the engine's relevance scorer (nil for generator-only
 // engines).
@@ -97,157 +94,43 @@ func (e *Engine) ExplainRecord(rec *Record) Explanation {
 }
 
 // ProcessAll runs the generator over a dataset concurrently, preserving
-// order.
+// order. A generator panic is re-raised on the calling goroutine once
+// every worker has stopped (see mustRun).
 func (e *Engine) ProcessAll(d *data.Dataset) []*Record {
-	n := d.Size()
-	out := make([]*Record, n)
-	workers := batchWorkers(n)
-	if workers <= 1 {
-		for i := range d.Pairs {
-			out[i] = e.generate(d.Pairs[i])
-		}
-		return out
-	}
-	// Buffer the full job list up front: an unbuffered channel would make
-	// the producer rendezvous with a worker per record, serializing the
-	// fan-out; with the buffer, the producer finishes immediately and the
-	// workers drain without ever blocking on the send side.
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	// One worker closure shared by every goroutine, allocated once —
-	// hoisted out of the spawn loop.
-	worker := func() {
-		defer wg.Done()
-		for i := range jobs {
-			out[i] = e.generate(d.Pairs[i])
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
+	out := make([]*Record, d.Size())
+	mustRun(len(out), func(i int) { out[i] = e.generate(d.Pairs[i]) })
 	return out
-}
-
-// BatchOptions tunes the fault-isolating batch runs.
-type BatchOptions struct {
-	// Hook, when non-nil, runs inside the per-record quarantine wrapper
-	// before the generator; the fault-tolerance tests inject per-record
-	// panics with it.
-	Hook func(data.Pair)
-	// Metrics, when non-nil, receives per-record process latencies and
-	// the processed/quarantined counters for this batch. Engine batch
-	// methods thread their attached bundle through automatically.
-	Metrics *Metrics
 }
 
 // ProcessAllContext is ProcessAll with cancellation and per-record fault
-// isolation: a worker that panics on a record quarantines that pair (nil
-// entry in the result, a RecordError in the second return) and moves on.
-// Cancellation stops the workers at the next record; the partial results
-// are discarded and the context error returned.
+// isolation: a record whose generator panics is quarantined (nil entry in
+// the result, a RecordError in the second return, both in index order)
+// and the rest run on. Cancellation stops the workers at the next record;
+// the partial results are discarded and the context error returned.
 func (e *Engine) ProcessAllContext(ctx context.Context, d *data.Dataset) ([]*Record, []RecordError, error) {
-	return ProcessAllContext(ctx, e.gen, d, BatchOptions{Metrics: e.metrics})
-}
-
-// ProcessAllContext runs a bare generator over a dataset with the same
-// cancellation and quarantine semantics as Engine.ProcessAllContext; the
-// trainer uses it before the scorer and matcher stages exist.
-func ProcessAllContext(ctx context.Context, g UnitGenerator, d *data.Dataset, opts BatchOptions) ([]*Record, []RecordError, error) {
-	n := d.Size()
-	out := make([]*Record, n)
-	errs := make([]error, n)
-	generate := func(i int) {
-		out[i], errs[i] = observeGenerate(opts.Metrics, g, d.Pairs[i], opts.Hook)
-	}
-	workers := batchWorkers(n)
-	if workers <= 1 {
-		for i := range d.Pairs {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
-			}
-			generate(i)
-		}
-		return out, collectRecordErrors(d, errs), nil
-	}
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		for i := range jobs {
-			if ctx.Err() != nil {
-				return
-			}
-			generate(i)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return out, collectRecordErrors(d, errs), nil
-}
-
-// generateSafe runs the generator on one pair, converting a panic into an
-// error so a single malformed record can be quarantined instead of
-// killing the whole batch.
-func generateSafe(g UnitGenerator, p data.Pair, hook func(data.Pair)) (rec *Record, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			rec, err = nil, fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if hook != nil {
-		hook(p)
-	}
-	return g.Generate(p), nil
-}
-
-// batchWorkers sizes the fan-out for n records.
-func batchWorkers(n int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	return workers
-}
-
-// collectRecordErrors turns the per-index error slice into an ordered
-// quarantine list — index order, so reports are deterministic regardless
-// of worker scheduling.
-func collectRecordErrors(d *data.Dataset, errs []error) []RecordError {
-	var out []RecordError
+	out := make([]*Record, d.Size())
+	errs := run(ctx, len(out), func(i int) { out[i] = e.generate(d.Pairs[i]) })
+	canceled := ctx.Err()
+	var quarantined []RecordError
 	for i, err := range errs {
-		if err != nil {
-			out = append(out, RecordError{Index: i, ID: d.Pairs[i].ID, Err: err.Error()})
+		if err != nil && err != canceled {
+			e.metrics.quarantineInc()
+			quarantined = append(quarantined, RecordError{Index: i, ID: d.Pairs[i].ID, Err: err.Error()})
 		}
 	}
-	return out
+	if canceled != nil {
+		return nil, nil, canceled
+	}
+	return out, quarantined, nil
 }
 
-// PredictAll returns hard labels for a whole dataset: concurrent unit
-// generation, then a sequential score→match pass (the scorer and matcher
-// are cheap relative to generation, and a fixed pass order keeps results
-// reproducible run to run).
+// PredictAll returns hard labels for a whole dataset, each record
+// generated, scored and matched on the executor's workers. A panic is
+// re-raised on the calling goroutine once every worker has stopped (see
+// mustRun).
 func (e *Engine) PredictAll(d *data.Dataset) []int {
-	recs := e.ProcessAll(d)
-	out := make([]int, len(recs))
-	for i, rec := range recs {
-		out[i], _ = e.PredictRecord(rec)
-	}
+	out := make([]int, d.Size())
+	mustRun(len(out), func(i int) { out[i], _ = e.PredictRecord(e.generate(d.Pairs[i])) })
 	return out
 }
 
@@ -262,58 +145,24 @@ type Prediction struct {
 
 // PredictBatch predicts a slice of pairs with per-item fault isolation:
 // an item whose processing panics fails alone (Err set, zero scores),
-// never the batch. Items are fanned out over workers and results keep
-// input order. Cancelling the context marks the not-yet-run items with
-// the context error and returns what completed.
+// never the batch. Results keep input order. Cancelling the context
+// marks the not-yet-run items with the context error and returns what
+// completed.
 func (e *Engine) PredictBatch(ctx context.Context, pairs []data.Pair) []Prediction {
-	n := len(pairs)
-	out := make([]Prediction, n)
-	predict := func(i int) {
-		out[i] = e.predictSafe(pairs[i])
-	}
-	workers := batchWorkers(n)
-	if workers <= 1 {
-		for i := range pairs {
-			if err := ctx.Err(); err != nil {
-				out[i] = Prediction{Err: err.Error()}
-				continue
-			}
-			predict(i)
+	out := make([]Prediction, len(pairs))
+	errs := run(ctx, len(out), func(i int) {
+		label, proba := e.Predict(pairs[i])
+		out[i] = Prediction{Label: label, Proba: proba}
+	})
+	canceled := ctx.Err()
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
-		return out
-	}
-	jobs := make(chan int, n)
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	var wg sync.WaitGroup
-	worker := func() {
-		defer wg.Done()
-		for i := range jobs {
-			if err := ctx.Err(); err != nil {
-				out[i] = Prediction{Err: err.Error()}
-				continue
-			}
-			predict(i)
-		}
-	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go worker()
-	}
-	wg.Wait()
-	return out
-}
-
-// predictSafe runs one full predict with panic quarantine.
-func (e *Engine) predictSafe(p data.Pair) (pred Prediction) {
-	defer func() {
-		if r := recover(); r != nil {
+		if err != canceled {
 			e.metrics.quarantineInc()
-			pred = Prediction{Err: fmt.Sprintf("panic: %v", r)}
 		}
-	}()
-	label, proba := e.Predict(p)
-	return Prediction{Label: label, Proba: proba}
+		out[i] = Prediction{Err: err.Error()}
+	}
+	return out
 }

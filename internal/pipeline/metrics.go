@@ -69,40 +69,21 @@ func (e *Engine) generate(p data.Pair) *Record {
 		return e.gen.Generate(p)
 	}
 	m.InFlight.Inc()
-	// Dec via defer so a generator panic (quarantined by the safe batch
-	// paths, propagated by the plain ones) cannot leak the gauge.
+	// Dec via defer so a generator panic cannot leak the gauge; the pair
+	// counts as processed either way.
 	defer m.InFlight.Dec()
+	m.Processed.Inc()
 	start := time.Now()
 	rec := e.gen.Generate(p)
 	m.ProcessSeconds.Observe(time.Since(start).Seconds())
-	m.Processed.Inc()
 	return rec
 }
 
 // quarantineInc bumps the quarantine counter; nil-safe on the bundle so
-// panic-recovery paths need no guards.
+// the quarantining batch methods need no guards.
 func (m *Metrics) quarantineInc() {
 	if m == nil {
 		return
 	}
 	m.Quarantined.Inc()
-}
-
-// observeGenerate is the package-level counterpart of generate for batch
-// runners that work on a bare UnitGenerator (BatchOptions.Metrics); a
-// nil bundle is free.
-func observeGenerate(m *Metrics, g UnitGenerator, p data.Pair, hook func(data.Pair)) (*Record, error) {
-	if m == nil {
-		return generateSafe(g, p, hook)
-	}
-	m.InFlight.Inc()
-	defer m.InFlight.Dec()
-	start := time.Now()
-	rec, err := generateSafe(g, p, hook)
-	m.ProcessSeconds.Observe(time.Since(start).Seconds())
-	m.Processed.Inc()
-	if err != nil {
-		m.Quarantined.Inc()
-	}
-	return rec, err
 }

@@ -458,6 +458,7 @@ func AttributeImpact(schema Schema, ex Explanation) []float64 {
 //
 // Predict followed by Explain on the same pair costs two full processing
 // passes; Process + PredictRecord + ExplainRecord costs one. The batch
-// form, ProcessAllContext, additionally quarantines records whose
-// processing panics (nil entry + RecordError) instead of failing the
-// batch, and honors context cancellation.
+// forms run on the engine's one executor: ProcessAll re-raises a
+// record's panic on the calling goroutine, while ProcessAllContext
+// quarantines it (nil entry + RecordError) instead of failing the batch,
+// and honors context cancellation.
