@@ -55,21 +55,24 @@ train-race:
 ## concurrent arena mmap hot reload vs batch prediction (use-after-munmap
 ## would segfault here), NN and FastNN scorer determinism under
 ## concurrency, the arena/gob prediction-equivalence goldens, the corrupt
-## model inputs, and the scorer kernels' exactness tests (NN.Score equal
-## to the per-unit forward pass bit for bit, assembly vs generic tiles,
-## the lane trainer's weights equal to the per-example reference's).
+## model inputs, and the scorer kernels' exactness tests (NN.Score and
+## NN.ScoreBatch equal to the per-unit forward pass bit for bit on both
+## tile widths, FastNN.ScoreBatch equal to FastNN.Score, assembly vs
+## generic tiles at both widths, the tile choice from CPUID words, the
+## lane trainer's weights equal to the per-example reference's).
 model-race:
 	$(GO) test -race -timeout 15m \
-		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestNNConcurrentScore|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorrupt|TestNNScoreMatchesForward|TestNNGobDecodeRejectsMalformed|TestDenseTile|TestFitMatchesReference' \
+		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestNNConcurrentScore|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorrupt|TestNNScoreMatchesForward|TestNNScoreMatchesForwardBatch|TestFastNNScoreBatchMatchesScore|TestNNGobDecodeRejectsMalformed|TestDenseTile|TestDenseTilePaths|TestFitMatchesReference' \
 		./cmd/wym-server ./internal/relevance ./internal/core ./internal/vec ./internal/nn
 
 ## exact-v3: the float64 exactness tests rebuilt for GOAMD64=v3, whose
 ## CPUs have FMA. Were a toolchain ever to fuse multiply-add on amd64, the
 ## compiled reference forward pass, backward pass or Adam step and the
-## kernels or the lane trainer would diverge here.
+## kernels (single-record and batched, both tile widths) or the lane
+## trainer would diverge here.
 exact-v3:
 	GOAMD64=v3 $(GO) test -count=1 -timeout 10m \
-		-run 'TestNNScoreMatchesForward|TestDenseTileASMAgainstGeneric|TestFitMatchesReference' \
+		-run 'TestNNScoreMatchesForward|TestNNScoreMatchesForwardBatch|TestFastNNScoreBatchMatchesScore|TestDenseTileASMAgainstGeneric|TestFitMatchesReference' \
 		./internal/relevance ./internal/vec ./internal/nn
 
 ## router-race: the fleet-routing chaos suites under the race detector —
@@ -130,7 +133,9 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzAuditLog$$' -fuzztime=5s ./internal/audit
 
 ## bench: short benchmark pass over the hot-path packages (sanity, not a
-## baseline — use bench-json for comparable numbers).
+## baseline — use bench-json for comparable numbers). It includes every
+## dense-tile path (BenchmarkDenseTile*) and the in-place scoring
+## benchmarks (BenchmarkNNScoreBatch, BenchmarkFastNNScoreBatch).
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=10x \
 		./internal/units ./internal/embed ./internal/assignment ./internal/nn \

@@ -23,7 +23,9 @@ type Metrics struct {
 	// (tokenize + embed + Algorithm 1).
 	ProcessSeconds *obs.Histogram
 	// PredictSeconds is the per-record end-to-end predict latency
-	// (generation + scoring + matching).
+	// (generation + scoring + matching). In the chunked batch paths a
+	// record's scoring is its equal share of its chunk's one scoring
+	// call.
 	PredictSeconds *obs.Histogram
 	// InFlight gauges records currently inside the generator or a
 	// predict, across all workers.

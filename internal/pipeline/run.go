@@ -25,7 +25,7 @@ func run(ctx context.Context, n int, fn func(i int)) []error {
 				errs[i] = err
 				continue
 			}
-			errs[i] = call(fn, i)
+			errs[i] = try(func() { fn(i) })
 		}
 	}
 	workers := min(runtime.GOMAXPROCS(0), n)
@@ -45,23 +45,23 @@ func run(ctx context.Context, n int, fn func(i int)) []error {
 	return errs
 }
 
-// call runs fn(i), recovering a panic into item i's error.
-func call(fn func(int), i int) (err error) {
+// try runs fn, recovering a panic into its error.
+func try(fn func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("panic: %v", r)
 		}
 	}()
-	fn(i)
+	fn()
 	return nil
 }
 
-// mustRun runs fn over [0, n) for the batch methods whose results have
-// no slot for an item's error (ProcessAll, PredictAll). Once every
-// worker has stopped, it re-raises the lowest failing item's panic on
-// the calling goroutine, where the caller can recover it.
-func mustRun(n int, fn func(i int)) {
-	for i, err := range run(context.Background(), n, fn) {
+// raise re-raises the lowest failing item's error on the calling
+// goroutine, where the caller can recover it: the fault rule of the batch
+// methods whose results have no slot for an item's error (ProcessAll,
+// PredictAll). It runs once every worker has stopped.
+func raise(errs []error) {
+	for i, err := range errs {
 		if err != nil {
 			panic(fmt.Sprintf("pipeline: item %d: %v", i, err))
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wym/internal/data"
+	"wym/internal/relevance"
 )
 
 // twoWorkers forces GOMAXPROCS to at least 2 for the rest of the test, so
@@ -190,4 +191,159 @@ func recoverText(fn func()) (msg string) {
 	}()
 	fn()
 	return ""
+}
+
+// unitGen builds records a unit-level scorer can read: the pair ID rides
+// in the record's one left embedding.
+type unitGen struct{ fakeGen }
+
+func (g unitGen) Generate(p data.Pair) *Record {
+	rec := g.fakeGen.Generate(p)
+	rec.LeftVecs = [][]float64{{float64(p.ID)}}
+	return rec
+}
+
+// batchScorer is a relevance.BatchScorer over unitGen's records: one
+// score, the pair ID / 100, panicking on the IDs in panicOn. It counts its
+// ScoreBatch calls and the records they carried.
+type batchScorer struct {
+	panicOn map[int]bool
+	calls   *atomic.Int64
+	batched *atomic.Int64
+}
+
+func (s batchScorer) Score(rec *relevance.Record) []float64 {
+	id := int(rec.LeftVecs[0][0])
+	if s.panicOn[id] {
+		panic(fmt.Sprintf("bad score %d", id))
+	}
+	return []float64{float64(id) / 100}
+}
+
+func (s batchScorer) ScoreBatch(recs []*relevance.Record) [][]float64 {
+	s.calls.Add(1)
+	s.batched.Add(int64(len(recs)))
+	out := make([][]float64, len(recs))
+	for i, rec := range recs {
+		out[i] = s.Score(rec)
+	}
+	return out
+}
+
+func newBatchScorer(panicOn map[int]bool) batchScorer {
+	return batchScorer{panicOn: panicOn, calls: new(atomic.Int64), batched: new(atomic.Int64)}
+}
+
+// TestPredictBatchChunkFaults puts a generator, a scorer and a matcher
+// panic into one chunk of a batch scored through ScoreBatch: only those
+// three items fail, each with its own panic, every other item equals
+// Predict bit for bit, the metrics count each pair once, and no goroutine
+// outlives the call.
+func TestPredictBatchChunkFaults(t *testing.T) {
+	twoWorkers(t)
+	const n = 41
+	genBad, scoreBad, matchBad := chunkPairs, chunkPairs+1, chunkPairs+2 // all in the second chunk
+	scorer := newBatchScorer(map[int]bool{scoreBad: true})
+	eng := New(unitGen{fakeGen{panicOn: map[int]bool{genBad: true}}}, UnitScores{S: scorer},
+		fakeMatcher{panicOn: map[int]bool{matchBad: true}})
+	ref := New(unitGen{}, UnitScores{S: newBatchScorer(nil)}, fakeMatcher{})
+	m := testMetrics()
+	eng.SetMetrics(m)
+	pairs := dataset(n).Pairs
+
+	before := runtime.NumGoroutine()
+	preds := eng.PredictBatch(context.Background(), pairs)
+	settleGoroutines(t, before, "a batch with faults")
+
+	for i, pred := range preds {
+		switch i {
+		case genBad, scoreBad, matchBad:
+			want := map[int]string{genBad: "bad record", scoreBad: "bad score", matchBad: "bad match"}[i]
+			if !strings.Contains(pred.Err, fmt.Sprintf("panic: %s %d", want, i)) {
+				t.Fatalf("preds[%d].Err = %q, want its own panic (%s %d)", i, pred.Err, want, i)
+			}
+		default:
+			label, proba := ref.Predict(pairs[i])
+			if pred != (Prediction{Label: label, Proba: proba}) {
+				t.Fatalf("preds[%d] = %+v, Predict gives (%d, %v)", i, pred, label, proba)
+			}
+		}
+	}
+	if scorer.calls.Load() == 0 {
+		t.Fatal("the batch never reached ScoreBatch")
+	}
+	if got, want := scorer.batched.Load(), int64(n-1); got != want {
+		t.Fatalf("ScoreBatch carried %d records, want %d: every generated record once", got, want)
+	}
+	if got := m.Processed.Value(); got != n {
+		t.Fatalf("processed = %d, want %d", got, n)
+	}
+	if got := m.Quarantined.Value(); got != 3 {
+		t.Fatalf("quarantined = %d, want 3", got)
+	}
+	if got := m.PredictSeconds.Count(); got != n-3 {
+		t.Fatalf("predict histogram count = %d, want %d", got, n-3)
+	}
+	if got := m.InFlight.Value(); got != 0 {
+		t.Fatalf("in-flight gauge = %d, want 0 after the batch", got)
+	}
+}
+
+// TestPredictBatchChunkCancel cancels a batch scored through ScoreBatch
+// from inside its generator: every item started before the cancellation
+// completes, the rest carry ctx's error, no cancellation counts as a
+// quarantine, and no goroutine outlives the call.
+func TestPredictBatchChunkCancel(t *testing.T) {
+	twoWorkers(t)
+	const n, at = 60, 2*chunkPairs + 1 // the cancel lands mid-chunk
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gen := cancelingGen{at: at, cancel: cancel, canceled: make(chan struct{}),
+		once: new(sync.Once), started: make([]atomic.Bool, n)}
+	eng := New(cancelingUnits{gen}, UnitScores{S: newBatchScorer(nil)}, fakeMatcher{})
+	m := testMetrics()
+	eng.SetMetrics(m)
+
+	before := runtime.NumGoroutine()
+	preds := eng.PredictBatch(ctx, dataset(n).Pairs)
+	settleGoroutines(t, before, "a canceled batch")
+
+	started := 0
+	for i, pred := range preds {
+		if !gen.started[i].Load() {
+			if pred.Err != context.Canceled.Error() {
+				t.Fatalf("preds[%d] = %+v, never started, want the context error", i, pred)
+			}
+			continue
+		}
+		started++
+		if pred.Err != "" || pred.Label != 1-i%2 || pred.Proba != float64(i)/100 {
+			t.Fatalf("preds[%d] = %+v, started before the cancellation, want it completed", i, pred)
+		}
+	}
+	if !gen.started[at].Load() || started == n {
+		t.Fatalf("%d of %d items started, want the cancellation mid-batch at item %d", started, n, at)
+	}
+	if got := m.Quarantined.Value(); got != 0 {
+		t.Fatalf("quarantined = %d, want 0: a cancellation is not a fault", got)
+	}
+	if got := m.Processed.Value(); got != uint64(started) {
+		t.Fatalf("processed = %d, want the %d started items", got, started)
+	}
+	if got := m.PredictSeconds.Count(); got != uint64(started) {
+		t.Fatalf("predict histogram count = %d, want %d", got, started)
+	}
+	if got := m.InFlight.Value(); got != 0 {
+		t.Fatalf("in-flight gauge = %d, want 0 after the batch", got)
+	}
+}
+
+// cancelingUnits is cancelingGen with unitGen's embedding, so a
+// unit-level scorer can read its records.
+type cancelingUnits struct{ g cancelingGen }
+
+func (c cancelingUnits) Generate(p data.Pair) *Record {
+	rec := c.g.Generate(p)
+	rec.LeftVecs = [][]float64{{float64(p.ID)}}
+	return rec
 }

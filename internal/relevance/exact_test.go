@@ -11,12 +11,15 @@ import (
 )
 
 // TestNNScoreMatchesForward pins the float64 exactness contract on real
-// systems: NN.Score, which runs the lane kernel, equals the per-unit
-// forward pass (nn.Net.Forward over Record.Features, clamped) bit for
-// bit on every unit of systems trained on S-FZ, S-BR and S-DA and on the
-// four scenario packs. The scorer has the paper's 300/64/32 topology, so
-// the 300-wide layer ends in a partial tile. A reordered sum, or a fused
-// multiply-add in either the kernel or the compiled reference, fails it.
+// systems: NN.Score and NN.ScoreBatch, which run the lane kernel, equal
+// the per-unit forward pass (nn.Net.Forward over Record.Features,
+// clamped) bit for bit on every unit of systems trained on S-FZ, S-BR and
+// S-DA and on the four scenario packs, on both tile widths. ScoreBatch
+// scores each split in chunks of several sizes, so records share lane
+// blocks and groups in many arrangements. The scorer has the paper's
+// 300/64/32 topology, so the 300-wide layer ends in a partial tile. A
+// reordered sum, or a fused multiply-add in either the kernel or the
+// compiled reference, fails it.
 func TestNNScoreMatchesForward(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains seven systems")
@@ -59,12 +62,31 @@ func TestNNScoreMatchesForward(t *testing.T) {
 			}
 			var units int
 			for _, pairs := range [][]data.Pair{valid.Pairs, test.Pairs} {
-				for _, p := range pairs {
-					rec := sys.Process(p).Rel()
-					if i, ok := relevance.SameScores(s.Score(rec), relevance.ForwardReference(s, rec)); !ok {
-						t.Fatalf("pair %d unit %d: NN.Score differs from the forward pass", p.ID, i)
+				recs := make([]*relevance.Record, len(pairs))
+				want := make([][]float64, len(pairs))
+				for i, p := range pairs {
+					recs[i] = sys.Process(p).Rel()
+					want[i] = relevance.ForwardReference(s, recs[i])
+					units += len(recs[i].Units)
+				}
+				for _, p := range relevance.TilePaths(s) {
+					path, s := p.Name, p.S
+					for i, rec := range recs {
+						if u, ok := relevance.SameScores(s.Score(rec), want[i]); !ok {
+							t.Fatalf("%s tile, pair %d unit %d: NN.Score differs from the forward pass", path, pairs[i].ID, u)
+						}
 					}
-					units += len(rec.Units)
+					for _, size := range []int{1, 3, 4, 16, len(recs)} {
+						for from := 0; from < len(recs); from += size {
+							to := min(from+size, len(recs))
+							for k, got := range s.ScoreBatch(recs[from:to]) {
+								if u, ok := relevance.SameScores(got, want[from+k]); !ok {
+									t.Fatalf("%s tile, chunks of %d, pair %d unit %d: NN.ScoreBatch differs from the forward pass",
+										path, size, pairs[from+k].ID, u)
+								}
+							}
+						}
+					}
 				}
 			}
 			if units == 0 {

@@ -11,8 +11,9 @@ import (
 
 // FastNN is the arena-path relevance scorer: the same network as NN in
 // float32, with weights in the arena's row-major layout, each row
-// zero-padded to a multiple of 8. Score runs the float32 lane kernel over
-// eight decision units at a time, reading the padded rows in place. Its
+// zero-padded to a multiple of 8. Score and ScoreBatch run the float32
+// lane kernel over 16 decision units at a time on AVX-512 hosts and 8
+// elsewhere (vec.ScoreTile32), reading the padded rows in place. Its
 // float32 arithmetic is pinned against the float64 scorer by the
 // prediction-equivalence goldens in internal/core.
 //
@@ -81,7 +82,8 @@ func newFastNN(spec []arena.ScorerLayer, dim int) (*FastNN, error) {
 	for li, l := range spec {
 		layers[li] = laneLayer[float32]{in: l.In, out: l.Out, stride: l.InPadded, w: l.W, b: l.B, act: actF32(l.Act)}
 	}
-	lanes, err := newLaneNet(dim, vec.Lanes32, vec.DenseTile32, layers)
+	width, tile := vec.ScoreTile32()
+	lanes, err := newLaneNet(dim, width, tile, layers)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +99,11 @@ func (f *FastNN) Spec() *arena.Scorer {
 }
 
 // Score implements Scorer; outputs are clamped to [-1, 1] like NN.Score.
-func (f *FastNN) Score(rec *Record) []float64 { return f.lanes.score(rec) }
+func (f *FastNN) Score(rec *Record) []float64 { return f.lanes.scoreOne(rec) }
+
+// ScoreBatch implements BatchScorer: Score of each record, bit for bit,
+// with the records' units packed into shared lane blocks.
+func (f *FastNN) ScoreBatch(recs []*Record) [][]float64 { return f.lanes.scoreBatch(recs) }
 
 // actF32 returns the in-place float32 activation for an arena act code;
 // tanh and sigmoid are evaluated in float64 and narrowed.

@@ -11,10 +11,14 @@ import (
 // Timeout bounds one request's handling time. The handler runs with a
 // deadline-carrying context and writes into a buffered writer; if it
 // finishes in time the buffer is replayed to the client, otherwise the
-// client gets 503 and the handler's late writes are discarded (it keeps
-// running until it observes ctx.Done, but can no longer corrupt the
-// response). Panics in the handler propagate to the caller so Recover —
-// stacked outside — still sees them. Non-positive d disables the bound.
+// client gets 503. The writer refuses every write once the context is
+// done, checked under its mutex, so a handler that wakes on ctx.Done and
+// writes gets http.ErrHandlerTimeout whichever way the race below goes,
+// and a response with a refused write is never replayed: the client gets
+// the 503 instead. The handler keeps running until it observes ctx.Done,
+// but can no longer corrupt the response. Panics in the handler
+// propagate to the caller so Recover — stacked outside — still sees
+// them. Non-positive d disables the bound.
 //
 // This mirrors http.TimeoutHandler but returns the JSON error shape the
 // rest of the API speaks.
@@ -26,7 +30,7 @@ func Timeout(d time.Duration, next http.Handler) http.Handler {
 		ctx, cancel := context.WithTimeout(r.Context(), d)
 		defer cancel()
 		r = r.WithContext(ctx)
-		tw := &timeoutWriter{h: make(http.Header)}
+		tw := &timeoutWriter{ctx: ctx, h: make(http.Header)}
 		done := make(chan struct{})
 		panicked := make(chan any, 1)
 		go func() {
@@ -42,21 +46,26 @@ func Timeout(d time.Duration, next http.Handler) http.Handler {
 		case p := <-panicked:
 			panic(p)
 		case <-done:
-			tw.replay(w)
+			if tw.replay(w) {
+				return
+			}
 		case <-ctx.Done():
 			tw.abandon()
-			WriteError(w, http.StatusServiceUnavailable, "request timed out")
 		}
+		WriteError(w, http.StatusServiceUnavailable, "request timed out")
 	})
 }
 
 // timeoutWriter buffers a response so it can be committed atomically
 // after the handler wins the race against the deadline.
 type timeoutWriter struct {
-	mu       sync.Mutex
-	h        http.Header
-	buf      bytes.Buffer
-	status   int
+	ctx    context.Context
+	mu     sync.Mutex
+	h      http.Header
+	buf    bytes.Buffer
+	status int
+	// timedOut is set once the response is forfeited: the deadline
+	// passed before the handler finished, or a write came after it.
 	timedOut bool
 }
 
@@ -65,6 +74,9 @@ func (tw *timeoutWriter) Header() http.Header { return tw.h }
 func (tw *timeoutWriter) WriteHeader(code int) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
+	if tw.late() {
+		return
+	}
 	if tw.status == 0 {
 		tw.status = code
 	}
@@ -73,13 +85,22 @@ func (tw *timeoutWriter) WriteHeader(code int) {
 func (tw *timeoutWriter) Write(b []byte) (int, error) {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
-	if tw.timedOut {
+	if tw.late() {
 		return 0, http.ErrHandlerTimeout
 	}
 	if tw.status == 0 {
 		tw.status = http.StatusOK
 	}
 	return tw.buf.Write(b)
+}
+
+// late reports, with tw.mu held, whether the response is forfeited,
+// marking it so when the context is done.
+func (tw *timeoutWriter) late() bool {
+	if !tw.timedOut && tw.ctx.Err() != nil {
+		tw.timedOut = true
+	}
+	return tw.timedOut
 }
 
 // abandon marks the response as forfeited; later handler writes error.
@@ -89,10 +110,15 @@ func (tw *timeoutWriter) abandon() {
 	tw.timedOut = true
 }
 
-// replay commits the buffered response to the real writer.
-func (tw *timeoutWriter) replay(w http.ResponseWriter) {
+// replay commits the buffered response to the real writer, unless the
+// response was forfeited by a write after the deadline; it reports
+// whether it wrote.
+func (tw *timeoutWriter) replay(w http.ResponseWriter) bool {
 	tw.mu.Lock()
 	defer tw.mu.Unlock()
+	if tw.timedOut {
+		return false
+	}
 	dst := w.Header()
 	for k, v := range tw.h {
 		dst[k] = v
@@ -102,4 +128,5 @@ func (tw *timeoutWriter) replay(w http.ResponseWriter) {
 	}
 	w.WriteHeader(tw.status)
 	w.Write(tw.buf.Bytes())
+	return true
 }
