@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet fmt-check test race serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke bench bench-json bench-guard cover
+.PHONY: check build vet perfbench-vet fmt-check test race serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke bench bench-json bench-guard cover
 
 ## check: the pre-merge gate — formatting, vet (must be clean for every
-## package, internal/serve included), build, the serving-layer race gate,
+## package, internal/serve included), vet and short tests of the
+## perfbench module, build, the serving-layer race gate,
 ## the fault-tolerant-training and batch-executor race gate, the
 ## model-format race gate, the scorer exactness tests rebuilt for
 ## GOAMD64=v3, the fleet-routing chaos gate, the crash-safe-matching race
@@ -12,13 +13,21 @@ GO ?= go
 ## the audit log sit on), a fuzz smoke pass over CSV ingest, arena
 ## parsing, blocking, the feedback journal, and the audit log, full
 ## race-enabled tests, short benchmarks, and the coverage ratchet.
-check: fmt-check vet build serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke race bench cover
+check: fmt-check vet perfbench-vet build serve-race train-race model-race exact-v3 router-race match-race label-race audit-race fuzz-smoke race bench cover
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+## perfbench-vet: vet and short-test the benchmark program. perfbench is
+## its own module (replace wym => ../), so `./...` at the root never
+## builds it, yet it compiles against internal packages; an API edit
+## there would otherwise pass every other gate and break the benchmark.
+## -short skips TestSmoke, so no server process is started.
+perfbench-vet:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 ## fmt-check: fail if any file is not gofmt-clean (prints the offenders).
 fmt-check:

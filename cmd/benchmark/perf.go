@@ -287,14 +287,8 @@ func collectSnapshot(dataset string, scale float64, seed int64) (perfSnapshot, *
 				if end > len(tables.Left) {
 					end = len(tables.Left)
 				}
-				cs, err := s.Chunk(start, end)
-				if err != nil {
+				if _, err := s.Chunk(start, end); err != nil {
 					b.Fatal(err)
-				}
-				for {
-					if _, ok := cs.Next(); !ok {
-						break
-					}
 				}
 			}
 		}

@@ -231,7 +231,7 @@ func TestFailedReloadKeepsOldModelUnderConcurrentPredicts(t *testing.T) {
 
 	opts := quietOptions()
 	a := testApp(t, opts)
-	a.modelPath = goodPath
+	a.defaultEntry.path = goodPath
 	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 
@@ -325,7 +325,7 @@ func TestFailedReloadKeepsOldModelUnderConcurrentPredicts(t *testing.T) {
 func TestSIGHUPReloadsModelInPlace(t *testing.T) {
 	path := savedModel(t)
 	a := testApp(t, quietOptions())
-	a.modelPath = path
+	a.defaultEntry.path = path
 	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 
@@ -359,7 +359,7 @@ func TestSIGHUPReloadsModelInPlace(t *testing.T) {
 func TestAdminReloadWithEmptyBodyReloadsInPlace(t *testing.T) {
 	path := savedModel(t)
 	a := testApp(t, quietOptions())
-	a.modelPath = path
+	a.defaultEntry.path = path
 	srv := httptest.NewServer(a.handler())
 	defer srv.Close()
 

@@ -153,13 +153,11 @@ func main() {
 				fmt.Fprintf(os.Stderr, "wym-server: -models entry %q is not name=path\n", spec)
 				os.Exit(2)
 			}
-			start := time.Now()
-			entry, err := a.models.Load(name, path)
+			entry, err := a.load(name, path)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "wym-server: preloading model %s: %v\n", name, err)
 				os.Exit(1)
 			}
-			a.observeModelLoad(entry.status().Format, time.Since(start))
 			logger.Printf("preloaded model %s from %s (%s)", name, path, entry.status().Format)
 		}
 	}
@@ -228,18 +226,16 @@ type options struct {
 // once, so a concurrent reload never splits one request across two
 // models.
 type app struct {
-	ref            *wym.ModelRef // the default registry entry's ref
-	defaultEntry   *modelEntry   // the pinned default entry (stable across reloads)
-	models         *modelRegistry
-	audit          *auditor
-	logger         *log.Logger
-	limiter        *serve.Limiter
-	opts           options
-	drainFn        func() bool // wired to serve.Server.Draining
-	reloadMu       sync.Mutex  // serializes reloads, named-model load/unload, and feedback; never held on the predict path
-	modelPath      string      // guarded by reloadMu
-	residentFormat string      // guarded by reloadMu
-	reloads        atomic.Int64
+	ref          *wym.ModelRef // the default registry entry's ref
+	defaultEntry *modelEntry   // the pinned default entry (stable across reloads)
+	models       *modelRegistry
+	audit        *auditor
+	logger       *log.Logger
+	limiter      *serve.Limiter
+	opts         options
+	drainFn      func() bool // wired to serve.Server.Draining
+	reloadMu     sync.Mutex  // serializes reloads, named-model load/unload, and feedback; never held on the predict path
+	reloads      atomic.Int64
 
 	// Online learning: per-model label journals plus the feedback
 	// counters; see feedback.go.
@@ -271,11 +267,10 @@ func newApp(sys *wym.System, modelPath string, opts options) (*app, error) {
 		opts.registry = obs.NewRegistry()
 	}
 	a := &app{
-		logger:    opts.logger,
-		limiter:   serve.NewLimiter(opts.maxInFlight, opts.retryAfter),
-		opts:      opts,
-		drainFn:   func() bool { return false },
-		modelPath: modelPath,
+		logger:  opts.logger,
+		limiter: serve.NewLimiter(opts.maxInFlight, opts.retryAfter),
+		opts:    opts,
+		drainFn: func() bool { return false },
 
 		reg:         opts.registry,
 		httpMetrics: serve.NewHTTPMetrics(opts.registry),
@@ -318,34 +313,33 @@ func newApp(sys *wym.System, modelPath string, opts options) (*app, error) {
 	sys.Engine().SetMetrics(a.engineMetrics)
 	a.defaultEntry = a.models.Install(defaultModelName, modelPath, sys)
 	a.ref = a.defaultEntry.ref
-	a.setResidentFormat(sys.Format())
+	a.setResidentFormat("", sys.Format())
 	return a, nil
 }
 
-// setResidentFormat flips the wym_server_model_format gauge family: the
-// serving format's series reads 1, every previously seen format 0 — so
-// a scrape identifies the resident model representation (gob vs arena)
-// across hot swaps. Called at startup and from reload (which holds
-// reloadMu).
-func (a *app) setResidentFormat(format string) {
+// setResidentFormat flips the wym_server_model_format gauge family from
+// the default model's previous format to its current one: the serving
+// format's series reads 1, every format it replaced 0 — so a scrape
+// identifies the representation /predict serves (gob vs arena) across
+// hot swaps. Named models never move it. Called at startup and with
+// reloadMu held.
+func (a *app) setResidentFormat(prev, format string) {
 	const name = "wym_server_model_format"
 	const help = "1 for the model format currently serving, 0 for formats it replaced."
-	if prev := a.residentFormat; prev != "" && prev != format {
+	if prev != "" && prev != format {
 		a.reg.Gauge(name, help, obs.L("format", prev)).Set(0)
 	}
 	a.reg.Gauge(name, help, obs.L("format", format)).Set(1)
-	a.residentFormat = format
 }
 
 // observeModelLoad records one model artifact load into the per-format
-// load-duration histogram and updates the resident-format gauge. Arena
-// loads are mmap + header validation and land in the sub-millisecond
-// buckets; gob loads decode the full snapshot.
+// load-duration histogram. Arena loads are mmap + header validation and
+// land in the sub-millisecond buckets; gob loads decode the full
+// snapshot.
 func (a *app) observeModelLoad(format string, took time.Duration) {
 	a.reg.Histogram("wym_server_model_load_seconds",
 		"Model artifact load+validate latency, labeled by on-disk format.",
 		obs.DefaultLatencyBuckets, obs.L("format", format)).Observe(took.Seconds())
-	a.setResidentFormat(format)
 }
 
 // handler assembles the full middleware stack. The hot endpoints shed
@@ -455,23 +449,43 @@ func (a *app) watchHUP(ctx context.Context) {
 // process-lifetime engine metrics before the swap, so counters
 // accumulate across model generations). On any failure the previous
 // model keeps serving — rollback is the default, not an action. An
-// empty path means "reload the current artifact in place".
+// empty path means "reload the default entry's artifact in place".
 func (a *app) reload(path string) (string, error) {
 	a.reloadMu.Lock()
 	defer a.reloadMu.Unlock()
 	if path == "" {
-		path = a.modelPath
+		path = a.defaultEntry.status().Path
 	}
+	_, err := a.loadLocked(defaultModelName, path)
+	return path, err
+}
+
+// load is loadLocked under reloadMu.
+func (a *app) load(name, path string) (*modelEntry, error) {
+	a.reloadMu.Lock()
+	defer a.reloadMu.Unlock()
+	return a.loadLocked(name, path)
+}
+
+// loadLocked loads the artifact at path into the registry under name and
+// records the load. Loading the default model is a reload: it counts
+// one and moves the resident-format gauge, whichever route asked for it.
+// The caller holds reloadMu.
+func (a *app) loadLocked(name, path string) (*modelEntry, error) {
+	prev := a.defaultEntry.status().Format
 	start := time.Now()
-	entry, err := a.models.Load(defaultModelName, path)
+	entry, err := a.models.Load(name, path)
 	if err != nil {
-		return path, err
+		return nil, err
 	}
-	a.observeModelLoad(entry.status().Format, time.Since(start))
-	a.modelPath = path
-	a.reloads.Add(1)
-	a.reloadsTotal.Inc()
-	return path, nil
+	format := entry.status().Format
+	a.observeModelLoad(format, time.Since(start))
+	if name == defaultModelName {
+		a.setResidentFormat(prev, format)
+		a.reloads.Add(1)
+		a.reloadsTotal.Inc()
+	}
+	return entry, nil
 }
 
 // Reloads returns the number of successful model swaps (exposed on
@@ -798,7 +812,8 @@ func (a *app) handleReload(w http.ResponseWriter, r *http.Request) {
 
 // handleModelLoad loads (or hot-replaces) a named model from an
 // artifact path. The same validate-then-swap rules as /admin/reload
-// apply: a bad artifact never displaces a serving model.
+// apply: a bad artifact never displaces a serving model, and a load of
+// "default" is a reload.
 func (a *app) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req reloadRequest
@@ -814,21 +829,18 @@ func (a *app) handleModelLoad(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	start := time.Now()
-	// reloadMu serializes this load against feedback ingestion: the
-	// registry's onLoad replays the model's journal (Journal.All) and
-	// publishes via ref.Set, both of which feedbackWith assumes cannot
-	// interleave with its own Append+Set sequence.
-	a.reloadMu.Lock()
-	entry, err := a.models.Load(name, req.Path)
-	a.reloadMu.Unlock()
+	// load holds reloadMu, which serializes this load against feedback
+	// ingestion: the registry's onLoad replays the model's journal
+	// (Journal.All) and publishes via ref.Set, both of which
+	// feedbackWith assumes cannot interleave with its own Append+Set
+	// sequence.
+	entry, err := a.load(name, req.Path)
 	if err != nil {
 		a.logger.Printf("load of model %s from %s failed: %v", name, req.Path, err)
 		writeError(w, http.StatusInternalServerError, "load failed: "+err.Error())
 		return
 	}
 	st := entry.status()
-	a.observeModelLoad(st.Format, time.Since(start))
 	a.logger.Printf("model %s: now serving %s (%s, %s)", name, st.Path, st.Format, st.Fingerprint)
 	writeJSON(w, http.StatusOK, struct {
 		Status string      `json:"status"`

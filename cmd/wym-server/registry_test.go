@@ -9,9 +9,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"wym"
+	"wym/internal/obs"
 )
 
 // loadModel loads the artifact under name through the admin route and
@@ -206,6 +210,85 @@ func TestModelsListingAndHotReloadBumpsReloads(t *testing.T) {
 	}
 	if list[0].Path != path {
 		t.Fatalf("alt path = %q, want %q", list[0].Path, path)
+	}
+}
+
+// gobAndArenaApp saves the shared trained system as a gob and a float32
+// arena artifact and starts an app whose default model is the gob.
+func gobAndArenaApp(t *testing.T, reg *obs.Registry) (a *app, gobPath, arenaPath string) {
+	t.Helper()
+	sys := trained(t)
+	dir := t.TempDir()
+	gobPath = filepath.Join(dir, "m.gob")
+	arenaPath = filepath.Join(dir, "m.wyma")
+	if err := sys.SaveFile(gobPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SaveArenaFile(arenaPath, wym.ArenaOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	first, err := wym.LoadSystem(gobPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := quietOptions()
+	opts.registry = reg
+	a, err = newApp(first, gobPath, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, gobPath, arenaPath
+}
+
+// TestReloadInPlaceAfterDefaultModelLoad: loading "default" through
+// /admin/models/default/load is a reload, and a later reload in place
+// (SIGHUP, or /admin/reload with no body) reloads that artifact instead
+// of reverting to the startup one.
+func TestReloadInPlaceAfterDefaultModelLoad(t *testing.T) {
+	a, _, arenaPath := gobAndArenaApp(t, nil)
+	srv := httptest.NewServer(a.handler())
+	defer srv.Close()
+
+	loadModel(t, srv, defaultModelName, arenaPath)
+	if got := a.Reloads(); got != 1 {
+		t.Errorf("reloads after loading the default model = %d, want 1", got)
+	}
+	path, err := a.reload("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if path != arenaPath {
+		t.Fatalf("reload in place used %s, want %s", path, arenaPath)
+	}
+	if f := a.ref.Get().Format(); f != "arena-f32" {
+		t.Fatalf("default model format after reload in place = %s, want arena-f32", f)
+	}
+	if got := a.Reloads(); got != 2 {
+		t.Fatalf("reloads = %d, want 2", got)
+	}
+}
+
+// TestModelFormatGaugeFollowsDefaultModel: loading a named model of
+// another format leaves wym_server_model_format on the format /predict
+// still serves.
+func TestModelFormatGaugeFollowsDefaultModel(t *testing.T) {
+	reg := obs.NewRegistry()
+	a, _, arenaPath := gobAndArenaApp(t, reg)
+	srv := httptest.NewServer(a.handler())
+	defer srv.Close()
+
+	loadModel(t, srv, "alt", arenaPath)
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	scraped := buf.String()
+	if !strings.Contains(scraped, `wym_server_model_format{format="gob"} 1`) ||
+		strings.Contains(scraped, `wym_server_model_format{format="arena-f32"} 1`) {
+		t.Fatalf("format gauge does not follow the default (gob) model:\n%s", scraped)
+	}
+	if !strings.Contains(scraped, `wym_server_model_load_seconds_count{format="arena-f32"} 1`) {
+		t.Fatalf("named arena load not timed:\n%s", scraped)
 	}
 }
 

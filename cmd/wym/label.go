@@ -124,17 +124,13 @@ func blockedPairs(o labelOptions) ([]wym.Pair, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs, err := s.Chunk(0, len(left.Rows))
+	cands, err := s.Chunk(0, len(left.Rows))
 	if err != nil {
 		return nil, err
 	}
-	var pairs []wym.Pair
-	for {
-		c, ok := cs.Next()
-		if !ok {
-			break
-		}
-		pairs = append(pairs, wym.Pair{Left: left.Rows[c.Left], Right: right.Rows[c.Right]})
+	pairs := make([]wym.Pair, len(cands))
+	for i, c := range cands {
+		pairs[i] = wym.Pair{Left: left.Rows[c.Left], Right: right.Rows[c.Right]}
 	}
 	return pairs, nil
 }

@@ -69,6 +69,9 @@ func runMatchCmd(ctx context.Context, name string, args []string) error {
 	fs.BoolVar(&o.verbose, "v", false, "report each chunk as it completes")
 	fs.Parse(args)
 
+	if o.chunk < 1 {
+		return fmt.Errorf("-chunk must be at least 1, not %d", o.chunk)
+	}
 	if o.model == "" {
 		return fmt.Errorf("pass -model <file> (train one with: wym train -dataset S-FZ -save matcher.gob)")
 	}
@@ -119,7 +122,6 @@ func runMatchCmd(ctx context.Context, name string, args []string) error {
 	cfg := matchjob.Config{
 		ChunkSize: o.chunk,
 		Blocking:  bcfg,
-		Dedup:     name == "dedup",
 		All:       o.all,
 		Dir:       o.job,
 		Out:       o.out,
@@ -234,15 +236,11 @@ func reportQuality(o matchOptions, bcfg blocking.StreamConfig, left, right []dat
 		if end > len(left) {
 			end = len(left)
 		}
-		cs, err := s.Chunk(startRow, end)
+		cands, err := s.Chunk(startRow, end)
 		if err != nil {
 			return err
 		}
-		for {
-			c, ok := cs.Next()
-			if !ok {
-				break
-			}
+		for _, c := range cands {
 			if truthSet[[2]int{c.Left, c.Right}] {
 				hits = append(hits, [2]int{c.Left, c.Right})
 			}

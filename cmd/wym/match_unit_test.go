@@ -1,8 +1,10 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +29,29 @@ func TestBlockingConfigFlags(t *testing.T) {
 	o.attrs = "0,x"
 	if _, err := o.blockingConfig(false); err == nil {
 		t.Fatal("bad -attrs entry accepted")
+	}
+}
+
+// TestMatchRejectsChunkBelowOne checks that `wym match` and `wym dedup`
+// refuse a -chunk below 1 before they load any input: the job's chunk
+// count divides by it. Every input path is missing, so an error about
+// anything but -chunk means the flag was not checked first.
+func TestMatchRejectsChunkBelowOne(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.csv")
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"match", []string{"-left", missing, "-right", missing}},
+		{"dedup", []string{"-in", missing}},
+	} {
+		for _, chunk := range []string{"0", "-1"} {
+			args := append([]string{"-model", missing, "-chunk", chunk}, tc.args...)
+			err := runMatchCmd(context.Background(), tc.name, args)
+			if err == nil || !strings.Contains(err.Error(), "-chunk") {
+				t.Errorf("wym %s -chunk %s: err = %v, want a -chunk usage error", tc.name, chunk, err)
+			}
+		}
 	}
 }
 

@@ -10,11 +10,8 @@ package blocking
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"wym/internal/data"
-	"wym/internal/textsim"
-	"wym/internal/tokenize"
 )
 
 // Config tunes the blocker.
@@ -92,69 +89,16 @@ type Candidate struct {
 
 // Candidates blocks two entity tables and returns candidate pairs sorted
 // by (Left, Right). Both tables must share the schema's attribute order.
-// An invalid configuration returns an error wrapping ErrInvalidConfig
-// instead of silently producing an empty candidate set.
+// It is the Streamer run over the whole left table as one chunk, with no
+// memory budget and no top-k cap. An invalid configuration returns an
+// error wrapping ErrInvalidConfig instead of silently producing an empty
+// candidate set.
 func Candidates(left, right []data.Entity, cfg Config) ([]Candidate, error) {
-	if err := cfg.Validate(numAttrsOf(left, right)); err != nil {
+	s, err := NewStreamer(left, right, StreamConfig{Config: cfg})
+	if err != nil {
 		return nil, err
 	}
-	if cfg.MinShared == 0 {
-		cfg.MinShared = 1
-	}
-	leftTokens := tokenized(left, cfg.Attrs)
-	rightTokens := tokenized(right, cfg.Attrs)
-
-	index := buildIndex(rightTokens)
-	maxLeft := int(cfg.MaxDF * float64(len(left)))
-	maxRight := int(cfg.MaxDF * float64(len(right)))
-	if maxLeft < 1 {
-		maxLeft = 1
-	}
-	if maxRight < 1 {
-		maxRight = 1
-	}
-	dfLeft := docFreq(leftTokens)
-
-	shared := make(map[[2]int]int)
-	for li, toks := range leftTokens {
-		seen := map[string]bool{}
-		for _, t := range toks {
-			if seen[t] {
-				continue
-			}
-			seen[t] = true
-			if dfLeft[t] > maxLeft {
-				continue
-			}
-			bucket := index[t]
-			if len(bucket) > maxRight {
-				continue
-			}
-			for _, ri := range bucket {
-				shared[[2]int{li, ri}]++
-			}
-		}
-	}
-
-	var out []Candidate
-	for key, n := range shared {
-		if n < cfg.MinShared {
-			continue
-		}
-		if cfg.JaccardFloor > 0 {
-			if textsim.Jaccard(leftTokens[key[0]], rightTokens[key[1]]) < cfg.JaccardFloor {
-				continue
-			}
-		}
-		out = append(out, Candidate{Left: key[0], Right: key[1], Shared: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Left != out[j].Left {
-			return out[i].Left < out[j].Left
-		}
-		return out[i].Right < out[j].Right
-	})
-	return out, nil
+	return s.Chunk(0, len(left))
 }
 
 // Pairs materializes candidates as unlabeled record pairs ready for a
@@ -184,91 +128,4 @@ func Summarize(left, right []data.Entity, cands []Candidate) Stats {
 		s.Reduction = 1 - float64(len(cands))/total
 	}
 	return s
-}
-
-// Recall computes the fraction of true pairs covered by the candidates.
-// truth maps left indices to the matching right indices.
-func Recall(cands []Candidate, truth map[int][]int) float64 {
-	var total, found int
-	covered := map[[2]int]bool{}
-	for _, c := range cands {
-		covered[[2]int{c.Left, c.Right}] = true
-	}
-	for li, ris := range truth {
-		for _, ri := range ris {
-			total++
-			if covered[[2]int{li, ri}] {
-				found++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(found) / float64(total)
-}
-
-func tokenized(es []data.Entity, attrs []int) [][]string {
-	keep := map[int]bool{}
-	for _, a := range attrs {
-		keep[a] = true
-	}
-	out := make([][]string, len(es))
-	for i, e := range es {
-		var toks []string
-		for a, v := range e {
-			if len(attrs) > 0 && !keep[a] {
-				continue
-			}
-			toks = append(toks, tokenize.SplitWords(v)...)
-		}
-		out[i] = toks
-	}
-	return out
-}
-
-func buildIndex(tokens [][]string) map[string][]int {
-	index := make(map[string][]int)
-	for i, toks := range tokens {
-		seen := map[string]bool{}
-		for _, t := range toks {
-			if seen[t] {
-				continue
-			}
-			seen[t] = true
-			index[t] = append(index[t], i)
-		}
-	}
-	return index
-}
-
-func docFreq(tokens [][]string) map[string]int {
-	df := make(map[string]int)
-	for _, toks := range tokens {
-		seen := map[string]bool{}
-		for _, t := range toks {
-			if !seen[t] {
-				seen[t] = true
-				df[t]++
-			}
-		}
-	}
-	return df
-}
-
-// SelfCandidates blocks one entity table against itself for deduplication,
-// returning each unordered candidate pair once (Left < Right) and never
-// pairing a record with itself.
-func SelfCandidates(table []data.Entity, cfg Config) ([]Candidate, error) {
-	raw, err := Candidates(table, table, cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := raw[:0]
-	for _, c := range raw {
-		if c.Left < c.Right {
-			out = append(out, c)
-		}
-	}
-	return out, nil
 }

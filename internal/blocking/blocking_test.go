@@ -9,8 +9,8 @@ import (
 	"wym/internal/datagen"
 )
 
-// mustCandidates runs the batch blocker, failing the test on a
-// configuration rejection.
+// mustCandidates runs Candidates, failing the test on a configuration
+// rejection.
 func mustCandidates(t *testing.T, left, right []data.Entity, cfg Config) []Candidate {
 	t.Helper()
 	cands, err := Candidates(left, right, cfg)
@@ -45,7 +45,7 @@ func tables(nMatch, nNoise int) (left, right []data.Entity, truth map[int][]int)
 func TestCandidatesCoverTruth(t *testing.T) {
 	left, right, truth := tables(50, 200)
 	cands := mustCandidates(t, left, right, DefaultConfig())
-	if r := Recall(cands, truth); r < 0.99 {
+	if r := recall(cands, truth); r < 0.99 {
 		t.Fatalf("blocking recall = %v, want ~1", r)
 	}
 	stats := Summarize(left, right, cands)
@@ -134,10 +134,10 @@ func TestPairs(t *testing.T) {
 }
 
 func TestRecallEdgeCases(t *testing.T) {
-	if Recall(nil, nil) != 1 {
+	if recall(nil, nil) != 1 {
 		t.Fatal("empty truth should give recall 1")
 	}
-	if Recall(nil, map[int][]int{0: {0}}) != 0 {
+	if recall(nil, map[int][]int{0: {0}}) != 0 {
 		t.Fatal("no candidates should give recall 0")
 	}
 }
@@ -167,7 +167,7 @@ func TestBlockingOnSyntheticBenchmark(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxDF = 0.3 // small tables: allow more frequent tokens
 	cands := mustCandidates(t, left, right, cfg)
-	if r := Recall(cands, truth); r < 0.9 {
+	if r := recall(cands, truth); r < 0.9 {
 		t.Fatalf("benchmark blocking recall = %v", r)
 	}
 }
@@ -180,34 +180,5 @@ func BenchmarkCandidates(b *testing.B) {
 		if _, err := Candidates(left, right, cfg); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSelfCandidates(t *testing.T) {
-	table := []data.Entity{
-		{"digital camera x100", "fuji"},
-		{"digital camera x-100", "fuji"},
-		{"espresso maker", "delonghi"},
-	}
-	cfg := DefaultConfig()
-	cfg.MaxDF = 1.0
-	cands, err := SelfCandidates(table, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range cands {
-		if c.Left >= c.Right {
-			t.Fatalf("self-pair or duplicate orientation: %+v", c)
-		}
-	}
-	// The two camera rows must be a candidate.
-	var found bool
-	for _, c := range cands {
-		if c.Left == 0 && c.Right == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("duplicate rows not candidates: %+v", cands)
 	}
 }

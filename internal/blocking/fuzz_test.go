@@ -10,9 +10,11 @@ import (
 
 // FuzzBlockingCandidates throws arbitrary table contents and configuration
 // knobs at the blocker. Invariants: never panic; an invalid configuration
-// is reported via ErrInvalidConfig; on success every candidate is in-range,
-// deduplicated, and sorted; and the streaming path agrees with the batch
-// path when no TopK cap is set.
+// is reported via ErrInvalidConfig, exactly when the reference blocker
+// (batchCandidates) rejects it; on success every candidate is in-range,
+// deduplicated, and sorted; and with no TopK cap both Candidates and a
+// chunked stream under the fuzzed memory budget equal the reference, in
+// two-table and in Self mode.
 func FuzzBlockingCandidates(f *testing.F) {
 	f.Add("camera x100 fuji\ncamera x-100 fuji", "espresso maker\ncamera x100", 0.5, 1, 0.0, int64(128))
 	f.Add("a b c", "", 1.0, 0, 0.2, int64(0))
@@ -23,10 +25,11 @@ func FuzzBlockingCandidates(f *testing.F) {
 		right := fuzzTable(rightRaw)
 		cfg := Config{MaxDF: maxDF, MinShared: minShared, JaccardFloor: jaccard}
 
+		want, refErr := batchCandidates(left, right, cfg)
 		cands, err := Candidates(left, right, cfg)
-		if err != nil {
-			if !errors.Is(err, ErrInvalidConfig) {
-				t.Fatalf("unexpected error type: %v", err)
+		if err != nil || refErr != nil {
+			if !errors.Is(err, ErrInvalidConfig) || !errors.Is(refErr, ErrInvalidConfig) {
+				t.Fatalf("rejections differ: Candidates %v, reference %v", err, refErr)
 			}
 			return
 		}
@@ -47,6 +50,7 @@ func FuzzBlockingCandidates(f *testing.F) {
 				}
 			}
 		}
+		sameCandidates(t, "Candidates", cands, want)
 
 		if budget < 0 {
 			// Stream-only knobs have their own validation; a negative
@@ -56,37 +60,32 @@ func FuzzBlockingCandidates(f *testing.F) {
 			}
 			budget = -budget
 		}
-		s, err := NewStreamer(left, right, StreamConfig{Config: cfg, MemoryBudget: budget})
+		sameCandidates(t, "stream", fuzzStream(t, left, right, StreamConfig{Config: cfg, MemoryBudget: budget}), want)
+
+		selfWant, err := batchSelfCandidates(left, cfg)
 		if err != nil {
-			t.Fatalf("batch accepted config but streamer rejected it: %v", err)
+			t.Fatalf("reference rejected the left table alone: %v", err)
 		}
-		var streamed []Candidate
-		for start := 0; start < len(left); start += 2 {
-			end := start + 2
-			if end > len(left) {
-				end = len(left)
-			}
-			cs, err := s.Chunk(start, end)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for {
-				c, ok := cs.Next()
-				if !ok {
-					break
-				}
-				streamed = append(streamed, c)
-			}
-		}
-		if len(streamed) != len(cands) {
-			t.Fatalf("stream emitted %d candidates, batch %d", len(streamed), len(cands))
-		}
-		for i := range streamed {
-			if streamed[i] != cands[i] {
-				t.Fatalf("stream candidate %d = %+v, batch %+v", i, streamed[i], cands[i])
-			}
-		}
+		self := StreamConfig{Config: cfg, MemoryBudget: budget, Self: true}
+		sameCandidates(t, "self stream", fuzzStream(t, left, left, self), selfWant)
 	})
+}
+
+// fuzzStream runs a Streamer over the left table in chunks of two rows.
+func fuzzStream(t *testing.T, left, right []data.Entity, cfg StreamConfig) []Candidate {
+	s, err := NewStreamer(left, right, cfg)
+	if err != nil {
+		t.Fatalf("reference accepted config but streamer rejected it: %v", err)
+	}
+	var out []Candidate
+	for start := 0; start < len(left); start += 2 {
+		cs, err := s.Chunk(start, min(start+2, len(left)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, cs...)
+	}
+	return out
 }
 
 // fuzzTable parses newline-separated rows of space-separated attribute

@@ -10,19 +10,17 @@ import (
 	"wym/internal/tokenize"
 )
 
-// Streaming candidate generation: the batch Candidates API materializes
-// the full candidate list and holds the whole right-table inverted index
-// resident, which is fine for benchmark-sized tables and fatal for
-// table-scale matching. The Streamer instead
+// The Streamer is the package's one candidate generator: Candidates is a
+// Streamer over the whole left table as one chunk. It
 //
-//   - builds the inverted index incrementally and seals a shard whenever
-//     the resident index would exceed a configurable memory budget — only
-//     one shard's postings are ever live, and the peak resident estimate
-//     is tracked and reported;
-//   - emits candidates through a pull-based iterator, chunk by chunk over
-//     the left table, capping each left record at its TopK strongest
-//     candidates (most shared tokens, ties to the lowest right index)
-//     instead of materializing the cross product.
+//   - builds the right table's inverted index incrementally and seals a
+//     shard whenever the resident index would exceed a configurable
+//     memory budget — only one shard's postings are ever live, and the
+//     peak resident estimate is tracked and reported;
+//   - generates candidates chunk by chunk over the left table, capping
+//     each left record at its TopK strongest candidates (most shared
+//     tokens, ties to the lowest right index) instead of materializing
+//     the cross product.
 //
 // Because every right record's postings live in exactly one shard, a
 // pair's shared-token count is computed entirely when that shard is
@@ -49,8 +47,8 @@ type StreamConfig struct {
 	Self bool
 }
 
-// DefaultStreamConfig returns practical streaming defaults: the batch
-// defaults plus a 64 MiB index budget and a top-50 per-record cap.
+// DefaultStreamConfig returns practical streaming defaults: DefaultConfig
+// plus a 64 MiB index budget and a top-50 per-record cap.
 func DefaultStreamConfig() StreamConfig {
 	return StreamConfig{Config: DefaultConfig(), MemoryBudget: 64 << 20, TopK: 50}
 }
@@ -61,7 +59,7 @@ type StreamStats struct {
 	// chunk (identical across chunks — the shard plan depends only on the
 	// right table and the budget).
 	Shards int
-	// Emitted and Pruned count candidates handed to the caller and
+	// Emitted and Pruned count candidates returned by Chunk and
 	// candidates dropped by the TopK cap, across all chunks so far.
 	Emitted, Pruned int64
 	// PeakIndexBytes is the largest estimated resident index size seen.
@@ -74,7 +72,6 @@ type StreamStats struct {
 type Streamer struct {
 	cfg      StreamConfig
 	left     []data.Entity
-	right    []data.Entity
 	maxLeft  int
 	maxRight int
 	dfLeft   map[string]int
@@ -89,8 +86,8 @@ type Streamer struct {
 
 // NewStreamer validates the configuration, tokenizes the right table
 // once, and computes both tables' document frequencies (the MaxDF pruning
-// is global, exactly as in the batch path). For Self mode pass the same
-// slice as left and right.
+// is global, not per chunk). For Self mode pass the same slice as left
+// and right.
 func NewStreamer(left, right []data.Entity, cfg StreamConfig) (*Streamer, error) {
 	if err := cfg.Validate(numAttrsOf(left, right)); err != nil {
 		return nil, err
@@ -104,35 +101,41 @@ func NewStreamer(left, right []data.Entity, cfg StreamConfig) (*Streamer, error)
 	if cfg.TopK < 0 {
 		return nil, fmt.Errorf("%w: negative TopK %d", ErrInvalidConfig, cfg.TopK)
 	}
-	s := &Streamer{cfg: cfg, left: left, right: right}
+	s := &Streamer{cfg: cfg, left: left}
 	s.rightTokens = make([][]string, len(right))
 	for i, e := range right {
 		s.rightTokens[i] = entityTokens(e, cfg.Attrs)
 	}
-	s.dfRight = docFreq(s.rightTokens)
+	s.dfRight = docFreq(len(right), func(i int) []string { return s.rightTokens[i] })
 	if cfg.Self {
 		s.dfLeft = s.dfRight
 	} else {
-		s.dfLeft = make(map[string]int)
-		scratch := map[string]bool{}
-		for _, e := range left {
-			toks := entityTokens(e, cfg.Attrs)
-			clear(scratch)
-			for _, t := range toks {
-				if !scratch[t] {
-					scratch[t] = true
-					s.dfLeft[t]++
-				}
-			}
-		}
+		s.dfLeft = docFreq(len(left), func(i int) []string { return entityTokens(left[i], cfg.Attrs) })
 	}
 	s.maxLeft = dfCap(cfg.MaxDF, len(left))
 	s.maxRight = dfCap(cfg.MaxDF, len(right))
 	return s, nil
 }
 
+// docFreq counts, per token, the rows among the first n whose token list
+// (tokens(i)) contains it.
+func docFreq(n int, tokens func(i int) []string) map[string]int {
+	df := make(map[string]int)
+	seen := map[string]bool{}
+	for i := 0; i < n; i++ {
+		clear(seen)
+		for _, t := range tokens(i) {
+			if !seen[t] {
+				seen[t] = true
+				df[t]++
+			}
+		}
+	}
+	return df
+}
+
 // dfCap converts a document-frequency fraction into an absolute cap with
-// the batch path's floor of 1.
+// a floor of 1.
 func dfCap(maxDF float64, n int) int {
 	cap := int(maxDF * float64(n))
 	if cap < 1 {
@@ -142,7 +145,7 @@ func dfCap(maxDF float64, n int) int {
 }
 
 // entityTokens tokenizes one entity restricted to the configured
-// attributes (the batch path's per-entity body, shared here).
+// attributes, in the order Attrs lists them.
 func entityTokens(e data.Entity, attrs []int) []string {
 	if len(attrs) == 0 {
 		var toks []string
@@ -207,36 +210,28 @@ func (s *Streamer) addRow(sh *shardIndex, ri int, toks []string, seen map[string
 	}
 }
 
-// CandidateStream is a pull-based candidate iterator for one left chunk.
-// The resident state is bounded by chunkRows x TopK survivors (never the
-// cross product); Next drains them in (Left, Right) order.
-type CandidateStream struct {
-	cands []Candidate
-	pos   int
-	stats *StreamStats
-}
+// CandidateStream is one chunk's candidates in (Left, Right) order. Its
+// size is bounded by chunkRows x TopK survivors, never the cross product.
+type CandidateStream []Candidate
 
-// Next returns the next candidate, or false when the chunk is drained.
+// Next pops the next candidate, or returns false when the chunk is
+// drained.
 func (cs *CandidateStream) Next() (Candidate, bool) {
-	if cs.pos >= len(cs.cands) {
+	if len(*cs) == 0 {
 		return Candidate{}, false
 	}
-	c := cs.cands[cs.pos]
-	cs.pos++
-	cs.stats.Emitted++
+	c := (*cs)[0]
+	*cs = (*cs)[1:]
 	return c, true
 }
 
-// Remaining reports how many candidates are left to pull.
-func (cs *CandidateStream) Remaining() int { return len(cs.cands) - cs.pos }
-
-// Chunk generates the candidates for left rows [start, end) as a
-// pull-based stream. Candidate indices are global: Left in [start, end),
+// Chunk generates the candidates for left rows [start, end). Candidate
+// indices are global: Left in [start, end),
 // Right into the full right table. The right table is scanned shard by
 // shard under the memory budget; per-left-record TopK heaps accumulate
 // across shards, so the resident state never exceeds the sealed shard
 // plus chunkRows x TopK survivors.
-func (s *Streamer) Chunk(start, end int) (*CandidateStream, error) {
+func (s *Streamer) Chunk(start, end int) (CandidateStream, error) {
 	if start < 0 || end < start || end > len(s.left) {
 		return nil, fmt.Errorf("blocking: chunk [%d,%d) out of range for %d left rows", start, end, len(s.left))
 	}
@@ -273,15 +268,14 @@ func (s *Streamer) Chunk(start, end int) (*CandidateStream, error) {
 	}
 	s.stats.Shards = shards
 
-	var out []Candidate
+	var out CandidateStream
 	for i := range heaps {
 		from := len(out)
-		for _, c := range heaps[i] {
-			out = append(out, c)
-		}
+		out = append(out, heaps[i]...)
 		sort.Slice(out[from:], func(a, b int) bool { return out[from+a].Right < out[from+b].Right })
 	}
-	return &CandidateStream{cands: out, stats: &s.stats}, nil
+	s.stats.Emitted += int64(len(out))
+	return out, nil
 }
 
 // probeShard runs every chunk row against one resident shard, applying

@@ -52,8 +52,8 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
-// drain pulls every candidate out of a stream.
-func drain(t *testing.T, cs *CandidateStream) []Candidate {
+// drain pulls every candidate out of a stream through Next.
+func drain(t *testing.T, cs CandidateStream) []Candidate {
 	t.Helper()
 	var out []Candidate
 	for {
@@ -84,37 +84,81 @@ func streamAll(t *testing.T, s *Streamer, leftRows, chunk int) []Candidate {
 	return out
 }
 
+// sameCandidates fails the test unless got equals want element for
+// element.
+func sameCandidates(t *testing.T, what string, got, want []Candidate) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d candidates, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s: candidate %d = %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestStreamMatchesBatch pins the central invariant: with no TopK cap,
-// the streaming path emits exactly the batch candidate set, regardless of
-// the memory budget (shard count) and chunk size.
+// the Streamer emits exactly the reference blocker's candidates
+// (batchCandidates), regardless of the memory budget (shard count) and
+// chunk size, and so does Candidates, the one-chunk stream. The cases
+// cover Self mode against the reference filtered to Left < Right, Attrs
+// lists that the two tokenizers walk differently (reordered, repeated),
+// and a Jaccard floor.
 func TestStreamMatchesBatch(t *testing.T) {
 	left, right, _ := tables(40, 160)
-	cfg := DefaultConfig()
-	cfg.MaxDF = 0.2
-	want := mustCandidates(t, left, right, cfg)
-	if len(want) == 0 {
-		t.Fatal("batch produced no candidates; test tables broken")
+	base := DefaultConfig()
+	base.MaxDF = 0.2
+	with := func(mut func(*Config)) Config {
+		cfg := base
+		mut(&cfg)
+		return cfg
 	}
-	for _, budget := range []int64{0, 1 << 12, 1 << 16} {
-		for _, chunk := range []int{7, 50, len(left)} {
-			s, err := NewStreamer(left, right, StreamConfig{Config: cfg, MemoryBudget: budget})
+	jaccard := with(func(c *Config) { c.JaccardFloor = 0.2 })
+	cases := []struct {
+		name string
+		cfg  Config
+		self bool
+	}{
+		{"default", base, false},
+		{"self", base, true},
+		{"attrs 1,0", with(func(c *Config) { c.Attrs = []int{1, 0} }), false},
+		{"attrs 0,0", with(func(c *Config) { c.Attrs = []int{0, 0} }), false},
+		{"attrs 1,0,1", with(func(c *Config) { c.Attrs = []int{1, 0, 1} }), false},
+		{"jaccard", jaccard, false},
+		{"self jaccard", jaccard, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := right
+			want, err := batchCandidates(left, r, tc.cfg)
+			if tc.self {
+				r = left
+				want, err = batchSelfCandidates(left, tc.cfg)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := streamAll(t, s, len(left), chunk)
-			if len(got) != len(want) {
-				t.Fatalf("budget %d chunk %d: %d candidates, want %d", budget, chunk, len(got), len(want))
+			if len(want) == 0 {
+				t.Fatal("reference produced no candidates; test tables broken")
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("budget %d chunk %d: candidate %d = %+v, want %+v",
-						budget, chunk, i, got[i], want[i])
+			if !tc.self {
+				sameCandidates(t, "Candidates", mustCandidates(t, left, r, tc.cfg), want)
+			}
+			for _, budget := range []int64{0, 1 << 12, 1 << 16} {
+				for _, chunk := range []int{7, 50, len(left)} {
+					s, err := NewStreamer(left, r, StreamConfig{Config: tc.cfg, MemoryBudget: budget, Self: tc.self})
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := streamAll(t, s, len(left), chunk)
+					sameCandidates(t, fmt.Sprintf("budget %d chunk %d", budget, chunk), got, want)
+					if budget > 0 && s.Stats().PeakIndexBytes > budget {
+						t.Fatalf("peak index %d exceeds budget %d", s.Stats().PeakIndexBytes, budget)
+					}
 				}
 			}
-			if budget > 0 && s.Stats().PeakIndexBytes > budget {
-				t.Fatalf("peak index %d exceeds budget %d", s.Stats().PeakIndexBytes, budget)
-			}
-		}
+		})
 	}
 }
 
@@ -137,7 +181,7 @@ func TestStreamHonorsMemoryBudget(t *testing.T) {
 	if st.PeakIndexBytes > budget {
 		t.Fatalf("peak index %d bytes exceeds budget %d", st.PeakIndexBytes, budget)
 	}
-	if r := Recall(got, truth); r < 0.95 {
+	if r := recall(got, truth); r < 0.95 {
 		t.Fatalf("sharded streaming recall = %v, want >= 0.95", r)
 	}
 }
@@ -259,7 +303,7 @@ func TestStreamRecallOnDatagenTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := streamAll(t, s, len(tp.Left), 100)
-	if r := Recall(got, truth); r < 0.95 {
+	if r := recall(got, truth); r < 0.95 {
 		t.Fatalf("recall of blocking on datagen tables = %v, want >= 0.95", r)
 	}
 	if st := s.Stats(); st.PeakIndexBytes > cfg.MemoryBudget {
@@ -268,7 +312,7 @@ func TestStreamRecallOnDatagenTables(t *testing.T) {
 }
 
 // TestStreamAttrsSubset restricts blocking to one attribute and checks
-// both paths (batch and stream) agree under the restriction — tokens in
+// the stream agrees with the reference under the restriction — tokens in
 // the excluded attribute must not create candidates.
 func TestStreamAttrsSubset(t *testing.T) {
 	left := []data.Entity{{"shared alpha", "only-left-one"}, {"unique beta", "shared-tail"}}
@@ -276,9 +320,12 @@ func TestStreamAttrsSubset(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxDF = 1.0
 	cfg.Attrs = []int{0}
-	want := mustCandidates(t, left, right, cfg)
+	want, err := batchCandidates(left, right, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(want) != 1 || want[0].Left != 0 || want[0].Right != 0 {
-		t.Fatalf("attr-0 batch candidates = %+v", want)
+		t.Fatalf("attr-0 reference candidates = %+v", want)
 	}
 	s, err := NewStreamer(left, right, StreamConfig{Config: cfg})
 	if err != nil {
@@ -287,36 +334,6 @@ func TestStreamAttrsSubset(t *testing.T) {
 	got := streamAll(t, s, len(left), 1)
 	if len(got) != 1 || got[0] != want[0] {
 		t.Fatalf("attr-0 stream candidates = %+v, want %+v", got, want)
-	}
-}
-
-// TestStreamRemaining pins the Remaining countdown on a pull stream.
-func TestStreamRemaining(t *testing.T) {
-	left, right, _ := tables(5, 0)
-	cfg := DefaultConfig()
-	cfg.MaxDF = 1.0
-	s, err := NewStreamer(left, right, StreamConfig{Config: cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := s.Chunk(0, len(left))
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := cs.Remaining()
-	if total == 0 {
-		t.Fatal("no candidates to count")
-	}
-	for i := 0; ; i++ {
-		if got := cs.Remaining(); got != total-i {
-			t.Fatalf("after %d pulls Remaining = %d, want %d", i, got, total-i)
-		}
-		if _, ok := cs.Next(); !ok {
-			break
-		}
-	}
-	if cs.Remaining() != 0 {
-		t.Fatalf("drained stream Remaining = %d", cs.Remaining())
 	}
 }
 

@@ -282,37 +282,22 @@ func (ck *checkpointer) saveModel(s *System) error {
 	if ck == nil {
 		return nil
 	}
-	return ck.save(StageModel, &systemSnapshot{
-		Cfg:    shadowOf(s.cfg),
-		Schema: s.schema,
-		Source: s.source,
-		Scorer: s.scorer,
-		Space:  s.space,
-		Model:  s.model,
-		Report: s.report,
-		Timing: s.timing,
-		Spans:  s.spans,
-	})
+	return ck.save(StageModel, s.snapshot())
 }
 
+// loadModel restores the model checkpoint through the same checks Load
+// applies; a snapshot that fails them is recomputed, with a warning.
 func (ck *checkpointer) loadModel(report *TrainReport) (*System, bool) {
 	var snap systemSnapshot
 	ok, reason := ck.load(StageModel, &snap)
 	warn(report, reason)
-	if !ok || snap.Model == nil || snap.Scorer == nil || snap.Source == nil || snap.Space == nil {
+	if !ok {
 		return nil, false
 	}
-	s := &System{
-		cfg:    snap.Cfg.config(),
-		schema: snap.Schema,
-		source: snap.Source,
-		scorer: snap.Scorer,
-		space:  snap.Space,
-		model:  snap.Model,
-		report: snap.Report,
-		timing: snap.Timing,
-		spans:  snap.Spans,
+	s, err := fromSnapshot(&snap)
+	if err != nil {
+		warn(report, fmt.Sprintf("%s checkpoint rejected: %v", StageModel, err))
+		return nil, false
 	}
-	s.rebuildEngine()
 	return s, true
 }

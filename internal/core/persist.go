@@ -132,7 +132,25 @@ func (s *System) Save(w io.Writer) error {
 	if s.arena != nil {
 		return fmt.Errorf("core: cannot gob-encode an arena-backed system (format %s); convert from the gob artifact", s.Format())
 	}
-	snap := systemSnapshot{
+	if err := gob.NewEncoder(w).Encode(s.snapshot()); err != nil {
+		return fmt.Errorf("core: encoding system: %w", err)
+	}
+	return nil
+}
+
+// Load restores a system saved with Save.
+func Load(r io.Reader) (*System, error) {
+	var snap systemSnapshot
+	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("core: decoding system: %w", err)
+	}
+	return fromSnapshot(&snap)
+}
+
+// snapshot maps the system to its on-disk form; Save and the model
+// checkpoint both write it.
+func (s *System) snapshot() *systemSnapshot {
+	return &systemSnapshot{
 		Cfg:         shadowOf(s.cfg),
 		Schema:      s.schema,
 		Source:      s.source,
@@ -146,18 +164,13 @@ func (s *System) Save(w io.Writer) error {
 		FbLabels:    s.fbLabels,
 		FbThreshold: s.fbThreshold,
 	}
-	if err := gob.NewEncoder(w).Encode(&snap); err != nil {
-		return fmt.Errorf("core: encoding system: %w", err)
-	}
-	return nil
 }
 
-// Load restores a system saved with Save.
-func Load(r io.Reader) (*System, error) {
-	var snap systemSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: decoding system: %w", err)
-	}
+// fromSnapshot rebuilds a serving system from its on-disk form, the one
+// path Load and a resumed model checkpoint share. It rejects a snapshot
+// missing a fitted component or whose scorer does not fit the
+// embeddings.
+func fromSnapshot(snap *systemSnapshot) (*System, error) {
 	if snap.Model == nil || snap.Scorer == nil || snap.Source == nil || snap.Space == nil {
 		return nil, fmt.Errorf("core: snapshot is missing fitted components")
 	}

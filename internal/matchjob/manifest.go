@@ -59,11 +59,12 @@ type manifest struct {
 
 // fingerprintConfig hashes the parts of the configuration that determine
 // the job's output. Throttle is excluded: it only paces chunks and must
-// not invalidate a resume.
+// not invalidate a resume. The text is fixed: a change to it makes
+// -resume refuse every existing job directory.
 func fingerprintConfig(cfg Config) uint64 {
 	h := fnv.New64a()
 	b := cfg.Blocking
-	fmt.Fprintf(h, "chunk=%d dedup=%t all=%t model=%d", cfg.ChunkSize, cfg.Dedup, cfg.All, cfg.ModelSum)
+	fmt.Fprintf(h, "chunk=%d dedup=%t all=%t model=%d", cfg.ChunkSize, b.Self, cfg.All, cfg.ModelSum)
 	fmt.Fprintf(h, " maxdf=%v minshared=%d jaccard=%v attrs=%v budget=%d topk=%d",
 		b.MaxDF, b.MinShared, b.JaccardFloor, b.Attrs, b.MemoryBudget, b.TopK)
 	return h.Sum64()

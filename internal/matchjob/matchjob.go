@@ -57,11 +57,10 @@ type Config struct {
 	// chunk is the unit of checkpointing: a kill loses at most one.
 	ChunkSize int
 	// Blocking configures candidate generation, including the index
-	// memory budget and the top-k-per-record cap.
+	// memory budget and the top-k-per-record cap. Blocking.Self makes the
+	// job a dedup: the left table is blocked against itself (Left < Right
+	// pairs only) and the right table passed to New is ignored.
 	Blocking blocking.StreamConfig
-	// Dedup blocks the left table against itself (Left < Right pairs
-	// only); the right table passed to New is ignored.
-	Dedup bool
 	// All emits every scored candidate instead of only match decisions.
 	All bool
 	// Dir is the job directory holding the manifest and result segments.
@@ -127,18 +126,22 @@ type Summary struct {
 
 const maxRowErrorSamples = 10
 
-// Runner executes one full-table matching job.
+// Runner executes one full-table matching job. Run it once: the
+// Summary's Pruned and PeakIndexBytes read the Streamer's counters, which
+// accumulate over every chunk it generates.
 type Runner struct {
 	eng     Predictor
 	explain Explainer // non-nil iff cfg.Audit is
 	left    []data.Entity
 	right   []data.Entity
+	stream  *blocking.Streamer
 	cfg     Config
 }
 
-// New prepares a job over two tables (or one, with cfg.Dedup). The tables
-// and configuration are fingerprinted here; Run compares them against any
-// existing manifest.
+// New prepares a job over two tables (or one, with cfg.Blocking.Self)
+// and builds its blocking Streamer, so a bad blocking configuration fails
+// before any job state is created. Run fingerprints the tables and
+// configuration and compares them against any existing manifest.
 func New(eng Predictor, left, right []data.Entity, cfg Config) (*Runner, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("matchjob: nil engine")
@@ -152,9 +155,8 @@ func New(eng Predictor, left, right []data.Entity, cfg Config) (*Runner, error) 
 	if cfg.ChunkSize < 0 {
 		return nil, fmt.Errorf("matchjob: negative ChunkSize %d", cfg.ChunkSize)
 	}
-	if cfg.Dedup {
+	if cfg.Blocking.Self {
 		right = left
-		cfg.Blocking.Self = true
 	}
 	if cfg.Metrics == nil {
 		// An empty bundle's nil fields are nil-safe, so instrumentation
@@ -168,11 +170,11 @@ func New(eng Predictor, left, right []data.Entity, cfg Config) (*Runner, error) 
 			return nil, fmt.Errorf("matchjob: Audit requires an engine that can Explain")
 		}
 	}
-	// Surface blocking config errors before any job state is created.
-	if _, err := blocking.NewStreamer(left, right, cfg.Blocking); err != nil {
+	stream, err := blocking.NewStreamer(left, right, cfg.Blocking)
+	if err != nil {
 		return nil, err
 	}
-	return &Runner{eng: eng, explain: explain, left: left, right: right, cfg: cfg}, nil
+	return &Runner{eng: eng, explain: explain, left: left, right: right, stream: stream, cfg: cfg}, nil
 }
 
 // Run executes the job: resume validation, the chunk loop, and the final
@@ -202,11 +204,6 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			CfgSum: cfgSum, LeftSum: leftSum, RightSum: rightSum}
 	}
 
-	stream, err := blocking.NewStreamer(r.left, r.right, cfg.Blocking)
-	if err != nil {
-		return nil, err
-	}
-
 	total := (len(r.left) + cfg.ChunkSize - 1) / cfg.ChunkSize
 	sum := &Summary{TotalChunks: total, ChunksResumed: len(man.Chunks)}
 	for _, c := range man.Chunks {
@@ -227,7 +224,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			end = len(r.left)
 		}
 		chunkStart := time.Now()
-		rec, emitted, err := r.runChunk(ctx, stream, id, start, end, sum)
+		rec, emitted, err := r.runChunk(ctx, id, start, end, sum)
 		if err != nil {
 			return nil, err
 		}
@@ -246,7 +243,7 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 		}
 		m.ChunksDone.Inc()
 		m.ChunkSeconds.Observe(time.Since(chunkStart).Seconds())
-		m.IndexBytes.Set(stream.Stats().PeakIndexBytes)
+		m.IndexBytes.Set(r.stream.Stats().PeakIndexBytes)
 		sum.ChunksDone++
 		sum.Candidates += int64(rec.Candidates)
 		sum.Matches += int64(rec.Matches)
@@ -255,8 +252,8 @@ func (r *Runner) Run(ctx context.Context) (*Summary, error) {
 			time.Sleep(cfg.Throttle)
 		}
 	}
-	sum.Pruned = stream.Stats().Pruned
-	sum.PeakIndexBytes = stream.Stats().PeakIndexBytes
+	sum.Pruned = r.stream.Stats().Pruned
+	sum.PeakIndexBytes = r.stream.Stats().PeakIndexBytes
 
 	if err := r.merge(man); err != nil {
 		return nil, err
@@ -282,19 +279,11 @@ type emittedRow struct {
 // chunk's result segment atomically. Quarantined predictions trigger one
 // whole-chunk retry; pairs still failing are skipped and reported. When
 // auditing, the emitted rows are returned for post-commit recording.
-func (r *Runner) runChunk(ctx context.Context, stream *blocking.Streamer, id, start, end int, sum *Summary) (chunkRecord, []emittedRow, error) {
+func (r *Runner) runChunk(ctx context.Context, id, start, end int, sum *Summary) (chunkRecord, []emittedRow, error) {
 	cfg := r.cfg
-	cs, err := stream.Chunk(start, end)
+	cands, err := r.stream.Chunk(start, end)
 	if err != nil {
 		return chunkRecord{}, nil, err
-	}
-	var cands []blocking.Candidate
-	for {
-		c, ok := cs.Next()
-		if !ok {
-			break
-		}
-		cands = append(cands, c)
 	}
 	cfg.Metrics.CandidatesEmitted.Add(uint64(len(cands)))
 

@@ -352,7 +352,7 @@ func TestDedupJob(t *testing.T) {
 	}
 	cfg := jobConfig(t)
 	cfg.ChunkSize = 2
-	cfg.Dedup = true
+	cfg.Blocking.Self = true
 	cfg.Blocking.MaxDF = 1.0
 	sum := runJob(t, &fakeEngine{}, table, nil, cfg)
 	if sum.Matches != 1 {
@@ -364,6 +364,43 @@ func TestDedupJob(t *testing.T) {
 	}
 	if len(matches) != 1 || matches[0] != [2]int{0, 1} {
 		t.Fatalf("dedup pairs = %v", matches)
+	}
+}
+
+// TestFingerprintConfigPinned pins the manifest's config fingerprint for
+// one match and one dedup configuration. The expected values are what
+// the code wrote before Blocking.Self replaced a separate dedup switch;
+// if the fingerprint text changes, -resume refuses every job directory
+// written before the change.
+func TestFingerprintConfigPinned(t *testing.T) {
+	match := Config{
+		ChunkSize: 125,
+		Blocking: blocking.StreamConfig{
+			Config:       blocking.Config{MaxDF: 0.05, MinShared: 1},
+			MemoryBudget: 64 << 20, TopK: 50,
+		},
+		ModelSum: 0x0123456789abcdef,
+	}
+	dedup := Config{
+		ChunkSize: 1000,
+		Blocking: blocking.StreamConfig{
+			Config:       blocking.Config{MaxDF: 0.1, MinShared: 2, JaccardFloor: 0.2, Attrs: []int{1, 0}},
+			MemoryBudget: 8 << 20, TopK: 7, Self: true,
+		},
+		All:      true,
+		ModelSum: 42,
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"match", match, 0x3c000e3c2ed80179},
+		{"dedup", dedup, 0xe3fd2a1a336e8d3d},
+	} {
+		if got := fingerprintConfig(tc.cfg); got != tc.want {
+			t.Errorf("%s fingerprint = %#x, want %#x", tc.name, got, tc.want)
+		}
 	}
 }
 
