@@ -54,10 +54,13 @@ serve-race:
 ## lenient ingest) — plus the engine's batch executor: each index run
 ## once and in order, no goroutine left behind after a normal, panicking
 ## or canceled run, mid-run cancellation, and the re-raised panic of
-## ProcessAll and PredictAll.
+## ProcessAll and PredictAll — and the session's unit-score memo:
+## results equal per-pair Predict within and across calls and from
+## concurrent callers, each part of its key, its exact entity key, and
+## per-pair quarantine with nothing stored by a failed call.
 train-race:
 	$(GO) test -race -timeout 20m \
-		-run 'TestResume|TestTrainCancellation|TestTrainQuarantines|TestCheckpoint|TestRun|TestProcessAll|TestPredictAll|TestPredictBatch' \
+		-run 'TestResume|TestTrainCancellation|TestTrainQuarantines|TestCheckpoint|TestRun|TestProcessAll|TestPredictAll|TestPredictBatch|TestSession|TestEntityKey' \
 		./internal/core ./cmd/wym ./internal/pipeline
 
 ## model-race: the zero-copy model-format suite under the race detector —
@@ -68,7 +71,8 @@ train-race:
 ## NN.ScoreBatch equal to the per-unit forward pass bit for bit on both
 ## tile widths, FastNN.ScoreBatch equal to FastNN.Score, assembly vs
 ## generic tiles at both widths, the tile choice from CPUID words, the
-## lane trainer's weights equal to the per-example reference's).
+## lane trainer's weights equal to the per-example reference's on both
+## tile widths).
 model-race:
 	$(GO) test -race -timeout 15m \
 		-run 'TestArenaHotReloadUnderLoad|TestModelRefSwapDuringPredictAll|TestNNConcurrentScore|TestFastNNConcurrentScore|TestArenaPredictionEquivalence|TestLoadFileCorrupt|TestNNScoreMatchesForward|TestNNScoreMatchesForwardBatch|TestFastNNScoreBatchMatchesScore|TestNNGobDecodeRejectsMalformed|TestDenseTile|TestDenseTilePaths|TestFitMatchesReference' \
@@ -78,7 +82,7 @@ model-race:
 ## CPUs have FMA. Were a toolchain ever to fuse multiply-add on amd64, the
 ## compiled reference forward pass, backward pass or Adam step and the
 ## kernels (single-record and batched, both tile widths) or the lane
-## trainer would diverge here.
+## trainer (both tile widths) would diverge here.
 exact-v3:
 	GOAMD64=v3 $(GO) test -count=1 -timeout 10m \
 		-run 'TestNNScoreMatchesForward|TestNNScoreMatchesForwardBatch|TestFastNNScoreBatchMatchesScore|TestDenseTileASMAgainstGeneric|TestFitMatchesReference' \
@@ -96,11 +100,12 @@ router-race:
 
 ## match-race: the crash-safe table-matching suite under the race
 ## detector — mid-job SIGKILL with byte-identical resume, SIGTERM
-## draining the in-flight chunk, corrupt-segment recomputation, and
-## manifest fingerprint rejection.
+## draining the in-flight chunk, corrupt-segment recomputation,
+## manifest fingerprint rejection, and a whole job on one session whose
+## every prediction equals per-pair Predict.
 match-race:
 	$(GO) test -race -timeout 20m \
-		-run 'TestMatchKillResume|TestMatchSigtermDrains|TestInterruptAndResume|TestResumeRecomputes|TestResumeRejects|TestRetryOnceOnQuarantine' \
+		-run 'TestMatchKillResume|TestMatchSigtermDrains|TestInterruptAndResume|TestResumeRecomputes|TestResumeRejects|TestRetryOnceOnQuarantine|TestMatchJobSessionExact' \
 		./cmd/wym ./internal/matchjob
 
 ## label-race: the online-learning suite under the race detector — the
@@ -143,12 +148,15 @@ fuzz-smoke:
 
 ## bench: short benchmark pass over the hot-path packages (sanity, not a
 ## baseline — use bench-json for comparable numbers). It includes every
-## dense-tile path (BenchmarkDenseTile*) and the in-place scoring
-## benchmarks (BenchmarkNNScoreBatch, BenchmarkFastNNScoreBatch).
+## dense-tile path (BenchmarkDenseTile*), the in-place scoring
+## benchmarks (BenchmarkNNScoreBatch, BenchmarkFastNNScoreBatch), and
+## one chunk of a table-matching job through the engine's batch path
+## (BenchmarkPredictBatchTableChunk, with the units it scored and
+## reused).
 bench:
 	$(GO) test -run=^$$ -bench=. -benchmem -benchtime=10x \
 		./internal/units ./internal/embed ./internal/assignment ./internal/nn \
-		./internal/relevance ./internal/vec
+		./internal/relevance ./internal/vec ./internal/pipeline
 
 ## bench-json: regenerate the perf snapshot (see BENCH_baseline.json).
 bench-json:

@@ -301,7 +301,8 @@ func collectSnapshot(dataset string, scale float64, seed int64) (perfSnapshot, *
 			if err != nil {
 				b.Fatal(err)
 			}
-			r, err := matchjob.New(eng, jobTables.Left, jobTables.Right, matchjob.Config{
+			// One session per job, as `wym match` runs it.
+			r, err := matchjob.New(eng.Session(), jobTables.Left, jobTables.Right, matchjob.Config{
 				ChunkSize: 50,
 				Blocking:  scfg,
 				Dir:       jdir,

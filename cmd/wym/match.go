@@ -104,6 +104,12 @@ func runMatchCmd(ctx context.Context, name string, args []string) error {
 	if name != "dedup" {
 		fmt.Printf("right table %s: %d rows, schema %v\n", right.Name, len(right.Rows), right.Schema)
 	}
+	var truth [][2]int
+	if o.truth != "" {
+		if truth, err = loadTruth(o.truth, len(left.Rows), len(right.Rows), name == "dedup"); err != nil {
+			return err
+		}
+	}
 
 	sys, err := wym.LoadSystem(o.model)
 	if err != nil {
@@ -145,7 +151,10 @@ func runMatchCmd(ctx context.Context, name string, args []string) error {
 		}
 		fmt.Printf("audit: recording decisions under %s\n", o.auditDir)
 	}
-	runner, err := matchjob.New(sys.Engine(), left.Rows, right.Rows, cfg)
+	// One session for the whole job: a row that is a candidate in many
+	// chunks has its unpaired units scored once.
+	sess := sys.Engine().Session()
+	runner, err := matchjob.New(sess, left.Rows, right.Rows, cfg)
 	if err != nil {
 		return err
 	}
@@ -161,6 +170,8 @@ func runMatchCmd(ctx context.Context, name string, args []string) error {
 	if o.verbose {
 		fmt.Printf("chunks: %d done, %d resumed, %d retried (%v)\n",
 			sum.ChunksDone, sum.ChunksResumed, sum.ChunksRetried, time.Since(start).Round(time.Millisecond))
+		scored, reused := sess.Units()
+		fmt.Printf("units: %d scored, %d reused\n", scored, reused)
 	}
 	if sum.Interrupted {
 		fmt.Printf("interrupted: %d/%d chunks done — resumable with -resume\n",
@@ -180,7 +191,7 @@ func runMatchCmd(ctx context.Context, name string, args []string) error {
 	}
 
 	if o.truth != "" {
-		if err := reportQuality(o, bcfg, left.Rows, right.Rows); err != nil {
+		if err := reportQuality(o, bcfg, left.Rows, right.Rows, truth); err != nil {
 			return err
 		}
 	}
@@ -212,14 +223,34 @@ func (o matchOptions) blockingConfig(self bool) (blocking.StreamConfig, error) {
 	return cfg, nil
 }
 
+// loadTruth reads a ground-truth pair list and checks every pair against
+// the tables: each index below its table's length. In a dedup (self) the
+// tables are one and a pair is unordered: it is stored as (min, max), the
+// order the job emits, and a row paired with itself is rejected.
+func loadTruth(path string, leftRows, rightRows int, self bool) ([][2]int, error) {
+	truth, err := wym.LoadTruth(path)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range truth {
+		if p[0] >= leftRows || p[1] >= rightRows {
+			return nil, fmt.Errorf("-truth %s: pair %d (%d,%d) is outside the tables (%d left rows, %d right rows)",
+				path, i+1, p[0], p[1], leftRows, rightRows)
+		}
+		if self {
+			if p[0] == p[1] {
+				return nil, fmt.Errorf("-truth %s: pair %d (%d,%d) pairs a row with itself", path, i+1, p[0], p[1])
+			}
+			truth[i] = [2]int{min(p[0], p[1]), max(p[0], p[1])}
+		}
+	}
+	return truth, nil
+}
+
 // reportQuality scores the finished run against a ground-truth pair list:
 // recall of blocking (the candidate ceiling) and pair quality of the
 // emitted matches.
-func reportQuality(o matchOptions, bcfg blocking.StreamConfig, left, right []data.Entity) error {
-	truth, err := wym.LoadTruth(o.truth)
-	if err != nil {
-		return err
-	}
+func reportQuality(o matchOptions, bcfg blocking.StreamConfig, left, right []data.Entity, truth [][2]int) error {
 	// One extra streaming pass over the tables recovers the candidate
 	// set for recall-of-blocking without the job having to retain it.
 	s, err := blocking.NewStreamer(left, right, bcfg)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -148,7 +149,15 @@ func TestGoldenMatch(t *testing.T) {
 			"-chunk", "20", "-max-df", "0.2", "-truth", "truth.csv", "-v",
 		})
 	})
-	got := normalizeDurations(normalizeTempPaths(out))
+	var scored, reused int
+	if m := unitsRE.FindStringSubmatch(out); m == nil {
+		t.Fatalf("transcript missing the units line:\n%s", out)
+	} else if scored, _ = strconv.Atoi(m[1]); scored == 0 {
+		t.Fatalf("units line %q: no unit scored", m[0])
+	} else if reused, _ = strconv.Atoi(m[2]); reused == 0 {
+		t.Fatalf("units line %q: the job's session reused no unit score", m[0])
+	}
+	got := normalizeUnits(normalizeDurations(normalizeTempPaths(out)))
 	for _, want := range []string{
 		"left table left: 80 rows",
 		"job: 4 chunks of 20 rows",
@@ -160,6 +169,15 @@ func TestGoldenMatch(t *testing.T) {
 		}
 	}
 	checkGolden(t, goldenPath, got)
+}
+
+// unitsRE matches the units line of `wym match -v`. How a job's units
+// split between scored and reused depends on which chunks run at the
+// same time, so the golden transcript holds neither count.
+var unitsRE = regexp.MustCompile(`units: (\d+) scored, (\d+) reused`)
+
+func normalizeUnits(s string) string {
+	return unitsRE.ReplaceAllString(s, "units: <N> scored, <N> reused")
 }
 
 // TestGoldenDedup locks the `wym dedup` transcript.

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"wym/internal/vec"
 )
 
 // fitCase is one network and training set for TestFitMatchesReference.
@@ -73,14 +75,38 @@ func fitCases() []fitCase {
 	}
 }
 
+// tileWidths are the lane layouts the trainer can run on: 4 lanes on
+// DenseTile64 and 8 on WideTile64, each in assembly where this machine
+// runs it and in the generic loop elsewhere. FitCtx takes the one
+// vec.ScoreTile64 names.
+var tileWidths = []struct {
+	name string
+	tile func() (int, vec.Tile[float64])
+}{
+	{"4 lanes", func() (int, vec.Tile[float64]) { return vec.Lanes64, vec.DenseTile64 }},
+	{"8 lanes", func() (int, vec.Tile[float64]) { return vec.WideLanes64, vec.WideTile64 }},
+}
+
+// onWidth makes the trainer run on tile for the rest of the test.
+func onWidth(t *testing.T, tile func() (int, vec.Tile[float64])) {
+	prev := trainTile
+	trainTile = tile
+	t.Cleanup(func() { trainTile = prev })
+}
+
 // TestFitMatchesReference pins the lane trainer to the per-example
-// trainer it replaced: for every case, every weight, bias, per-epoch loss
-// and the returned loss are bit-identical.
+// trainer it replaced: for every case, on both tile widths, every weight,
+// bias, per-epoch loss and the returned loss are bit-identical.
 func TestFitMatchesReference(t *testing.T) {
 	for _, tc := range fitCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, got := New(tc.sizes, tc.acts, 11), New(tc.sizes, tc.acts, 11)
-			fitBoth(t, tc, ref, got)
+			for _, w := range tileWidths {
+				t.Run(w.name, func(t *testing.T) {
+					onWidth(t, w.tile)
+					ref, got := New(tc.sizes, tc.acts, 11), New(tc.sizes, tc.acts, 11)
+					fitBoth(t, tc, ref, got)
+				})
+			}
 		})
 	}
 }

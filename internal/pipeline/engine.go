@@ -5,17 +5,17 @@ import (
 	"time"
 
 	"wym/internal/data"
-	"wym/internal/relevance"
 )
 
 // Engine composes one instantiation of the architecture template —
 // generator, scorer, matcher — and runs the process→score→match flow over
 // single pairs and batches. Every batch method runs on one executor
 // (run), which fans items out over min(GOMAXPROCS, n) workers and keeps
-// input order in every result. PredictBatch and PredictAll hand it
-// chunks of pairs, so a chunk's records are scored in one ScoreBatch
-// call (predictChunk); their results equal Predict's bit for bit. There
-// is one fault rule: a panicking item is recovered on its worker.
+// input order in every result. PredictBatch and PredictAll run on a
+// fresh Session, which hands it chunks of pairs, so a chunk's records
+// are scored in one ScoreBatch call (predictChunk); their results equal
+// Predict's bit for bit. There is one fault rule: a panicking item is
+// recovered on its worker.
 // ProcessAllContext and PredictBatch quarantine it; ProcessAll and
 // PredictAll, whose results have no slot for an item's error, re-raise
 // it on the calling goroutine.
@@ -129,11 +129,11 @@ func (e *Engine) ProcessAllContext(ctx context.Context, d *data.Dataset) ([]*Rec
 }
 
 // PredictAll returns hard labels for a whole dataset, predicted in
-// chunks on the executor's workers (predictChunks). A panic is re-raised
-// on the calling goroutine once every worker has stopped, naming the
-// lowest failing index (see raise).
+// chunks on the executor's workers by a fresh session (predictChunks). A
+// panic is re-raised on the calling goroutine once every worker has
+// stopped, naming the lowest failing index (see raise).
 func (e *Engine) PredictAll(d *data.Dataset) []int {
-	preds, errs := e.predictChunks(context.Background(), d.Pairs)
+	preds, errs := e.Session().predictChunks(context.Background(), d.Pairs)
 	raise(errs)
 	out := make([]int, len(preds))
 	for i, p := range preds {
@@ -152,139 +152,11 @@ type Prediction struct {
 	Err string
 }
 
-// PredictBatch predicts a slice of pairs with per-item fault isolation:
-// an item whose processing panics fails alone (Err set, zero scores),
-// never the batch. Results keep input order and equal Predict's bit for
-// bit. Cancelling the context marks the not-yet-started items with the
-// context error and returns what completed.
+// PredictBatch is Session.PredictBatch on a fresh session: per-item
+// fault isolation, input order, results equal to Predict's bit for bit,
+// and a unit score reused only within this call.
 func (e *Engine) PredictBatch(ctx context.Context, pairs []data.Pair) []Prediction {
-	out, errs := e.predictChunks(ctx, pairs)
-	canceled := ctx.Err()
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if err != canceled {
-			e.metrics.quarantineInc()
-		}
-		out[i] = Prediction{Err: err.Error()}
-	}
-	return out
-}
-
-// chunkPairs is how many pairs one executor item predicts together: it
-// generates them, scores their records in one call, then matches them.
-// Four pairs' records fill the scorer's packed groups; 16-pair chunks
-// ran match-table no faster and held more memory.
-const chunkPairs = 4
-
-// predictChunks predicts pairs on the executor, one chunk of chunkPairs
-// per item (predictChunk), and returns each pair's prediction and error:
-// nil when it was predicted, "panic: <value>" when its generation,
-// scoring or matching panicked, and ctx's error when ctx was done before
-// it started.
-func (e *Engine) predictChunks(ctx context.Context, pairs []data.Pair) ([]Prediction, []error) {
-	out := make([]Prediction, len(pairs))
-	errs := make([]error, len(pairs))
-	chunk := func(c int) (lo, hi int) { return c * chunkPairs, min((c+1)*chunkPairs, len(pairs)) }
-	for c, err := range run(ctx, (len(pairs)+chunkPairs-1)/chunkPairs, func(c int) {
-		lo, hi := chunk(c)
-		e.predictChunk(ctx, pairs[lo:hi], out[lo:hi], errs[lo:hi])
-	}) {
-		if err == nil {
-			continue
-		}
-		// ctx was done before the chunk started (predictChunk guards
-		// each of its own steps).
-		lo, hi := chunk(c)
-		for i := lo; i < hi; i++ {
-			if errs[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return out, errs
-}
-
-// predictChunk predicts up to chunkPairs pairs into out, recording each
-// pair's failure in errs. It checks ctx before each pair, so
-// cancellation stays per item, and generates each pair under its own
-// recover. It scores the generated records together (scoreChunk), then
-// matches each under its own recover. No pair is generated twice. With
-// metrics attached, each predicted pair observes its own generate and
-// match time plus an equal share of the chunk's scoring time.
-func (e *Engine) predictChunk(ctx context.Context, pairs []data.Pair, out []Prediction, errs []error) {
-	m := e.metrics
-	var (
-		recs [chunkPairs]*Record
-		idx  [chunkPairs]int           // recs[k] is pairs[idx[k]]
-		took [chunkPairs]time.Duration // generate time of recs[k]
-	)
-	n := 0
-	for i, p := range pairs {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		start := now(m)
-		if errs[i] = try(func() { recs[n] = e.generate(p) }); errs[i] == nil {
-			idx[n], took[n] = i, since(m, start)
-			n++
-		}
-	}
-	start := now(m)
-	scores, scoreErrs := e.scoreChunk(recs[:n])
-	share := since(m, start) / time.Duration(max(n, 1))
-	for k, i := range idx[:n] {
-		if scoreErrs != nil && scoreErrs[k] != nil {
-			errs[i] = scoreErrs[k]
-			continue
-		}
-		start := now(m)
-		errs[i] = try(func() {
-			label, proba := e.mustMatcher().MatchRecord(recs[k], scores[k])
-			out[i] = Prediction{Label: label, Proba: proba}
-		})
-		if m != nil && errs[i] == nil {
-			m.PredictSeconds.Observe((took[k] + share + since(m, start)).Seconds())
-		}
-	}
-}
-
-// scoreChunk scores a chunk's records in one call (scoreAll). If that
-// panics, it scores the same records one by one, each under its own
-// recover, so only a record whose scoring panics fails: errs is then
-// non-nil and errs[k] holds record k's panic.
-func (e *Engine) scoreChunk(recs []*Record) (scores [][]float64, errs []error) {
-	if try(func() { scores = e.scoreAll(recs) }) == nil {
-		return scores, nil
-	}
-	scores, errs = make([][]float64, len(recs)), make([]error, len(recs))
-	for k, rec := range recs {
-		errs[k] = try(func() { scores[k] = e.scores(rec) })
-	}
-	return scores, errs
-}
-
-// scoreAll scores records with Score's results: in one ScoreBatch call
-// when the scorer is a unit-level scorer that batches (relevance.NN and
-// FastNN, which pack the records' units into shared lane blocks), else
-// one Score per record (Binary, Cosine, NoScores, no scorer).
-func (e *Engine) scoreAll(recs []*Record) [][]float64 {
-	if u, ok := e.scorer.(UnitScores); ok {
-		if b, ok := u.S.(relevance.BatchScorer); ok {
-			rels := make([]*relevance.Record, len(recs))
-			for k, rec := range recs {
-				rels[k] = rec.Rel()
-			}
-			return b.ScoreBatch(rels)
-		}
-	}
-	out := make([][]float64, len(recs))
-	for k, rec := range recs {
-		out[k] = e.scores(rec)
-	}
-	return out
+	return e.Session().PredictBatch(ctx, pairs)
 }
 
 // now and since read the clock only when metrics are attached.

@@ -44,6 +44,13 @@ func (r *Record) Rel() *relevance.Record { return &r.Record }
 // UnitGenerator is the first template component: it turns a raw record
 // pair into a processed Record. Implementations must be safe for
 // concurrent use — the Engine fans batch generation out over workers.
+//
+// Each side's tokens and vectors must come from that side's entity
+// alone: the same entity on the same side yields the same tokens and
+// bit-identical vectors whatever its partner. Session's unit-score memo
+// rests on it. core's generator tokenizes and contextualizes each side
+// on its own (TestGeneratorSideContract pins it); Verbatim builds no
+// units at all.
 type UnitGenerator interface {
 	Generate(p data.Pair) *Record
 }

@@ -81,7 +81,10 @@ type Scorer interface {
 // ScoreBatch(recs)[i] equals Score(recs[i]) bit for bit. NN and FastNN
 // pack the records' units into shared lane blocks, so the network's
 // weights are fetched once per group of records instead of once per
-// record.
+// record. A unit's score is a function of its two vectors alone, so a
+// record holding any subset of another's units scores them the same;
+// the engine's batch sessions rely on it to score only the units they
+// have not scored before.
 type BatchScorer interface {
 	Scorer
 	ScoreBatch(recs []*Record) [][]float64

@@ -18,7 +18,7 @@ import "fmt"
 //
 // ScoreTile64 and ScoreTile32 name the width the relevance scorer runs
 // on this machine, chosen once at init from CPUID and XGETBV (tilePaths).
-// The trainer stays on DenseTile64.
+// The scorer's trainer (nn.FitCtx) runs on ScoreTile64 too.
 
 // Lane and tile widths of the dense-layer kernels.
 const (
